@@ -30,12 +30,12 @@ use efd_telemetry::prom::{Counter, FloatGauge, Gauge, Histogram, Registry};
 use super::drift::{DriftSnapshot, DriftState};
 use super::protocol::{Command, COMMANDS};
 
-/// Latency buckets for `efd_request_duration_seconds`: 25 µs … 1 s,
-/// roughly ×2–×2.5 steps — tight enough at the bottom to resolve the
-/// ~10 µs dictionary hit from syscall overhead, wide enough at the top
-/// to catch a stalled worker.
-pub const DURATION_BUCKETS: [f64; 12] = [
-    25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1.0,
+/// Latency buckets for `efd_request_duration_seconds`: 5 µs … 1 s,
+/// roughly ×2–×2.5 steps — fine enough at the bottom to resolve a
+/// single-digit-µs PING or PUSH from the ~10 µs dictionary hit, wide
+/// enough at the top to catch a stalled worker.
+pub const DURATION_BUCKETS: [f64; 14] = [
+    5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1.0,
 ];
 
 /// Buckets for `efd_stream_time_to_first_verdict_seconds`: a stream's
@@ -319,6 +319,20 @@ mod tests {
             "efd_protocol_errors_total{kind=\"torn\"} 1",
             "efd_queue_depth 2",
             "efd_request_duration_seconds_count 1",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn request_duration_resolves_single_digit_microseconds() {
+        let m = DaemonMetrics::new();
+        m.request_duration.observe(3e-6);
+        m.request_duration.observe(7e-6);
+        let text = m.render();
+        for needle in [
+            "efd_request_duration_seconds_bucket{le=\"0.000005\"} 1",
+            "efd_request_duration_seconds_bucket{le=\"0.00001\"} 2",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

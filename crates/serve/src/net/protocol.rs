@@ -55,13 +55,16 @@ use efd_core::{Recognition, Verdict};
 /// a protocol violation, not a big request.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// Initial size of a [`FrameReader`]'s read buffer. It holds hundreds of
+/// typical request frames, so one `read` picks up a whole pipelined
+/// batch; it grows only for a single frame larger than itself.
+const READ_BUF: usize = 8 * 1024;
+
 /// Everything that can go wrong while reading one frame.
 #[derive(Debug)]
 pub enum FrameError {
     /// The read timed out (`WouldBlock`/`TimedOut`). Reader state is
     /// preserved — call [`FrameReader::read_frame`] again to resume.
-    /// [`FrameReader::mid_frame`] tells whether a partial frame is
-    /// pending (a slow-loris indicator).
     Timeout,
     /// The peer closed the connection in the middle of a frame (after a
     /// partial length prefix or a partial payload).
@@ -89,21 +92,37 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// A resumable frame decoder for one connection.
+/// A buffered, resumable frame decoder for one connection.
+///
+/// One `read` fills the buffer with as many bytes as the peer has sent,
+/// and every complete frame in it is then handed out without further
+/// I/O — a pipelined batch costs one syscall, not two per frame.
+/// [`FrameReader::frame_ready`] tells a server whether the next
+/// [`FrameReader::read_frame`] could block, which is when queued replies
+/// must be flushed.
 ///
 /// Read timeouts are how the server implements idle accounting (each
 /// worker reads with a short timeout and tallies quiet ticks), so the
-/// decoder must survive a timeout at *any* byte boundary — including
-/// inside the 4-byte prefix — and continue exactly where it stopped.
-/// All partial state lives here, not on the stack of a blocked read.
+/// decoder survives a timeout at *any* byte boundary — including inside
+/// the 4-byte prefix — and continues exactly where it stopped: all
+/// partial state is the buffered tail.
 #[derive(Debug)]
 pub struct FrameReader {
-    prefix: [u8; 4],
-    prefix_got: usize,
-    payload: Vec<u8>,
-    payload_got: usize,
-    /// `Some(len)` once the prefix is complete and validated.
-    expecting: Option<usize>,
+    /// Read buffer; `buf[start..end]` is received but not handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+/// What the buffered bytes hold at the next frame boundary.
+enum Next {
+    /// A complete frame with this payload length.
+    Frame(usize),
+    /// A bad length prefix, refused without reading its payload.
+    Bad(FrameError),
+    /// An incomplete frame needing `total` buffered bytes (prefix
+    /// included) — 4 while the prefix itself is incomplete.
+    Partial(usize),
 }
 
 impl Default for FrameReader {
@@ -116,64 +135,75 @@ impl FrameReader {
     /// A fresh decoder positioned at a frame boundary.
     pub fn new() -> Self {
         FrameReader {
-            prefix: [0; 4],
-            prefix_got: 0,
-            payload: Vec::new(),
-            payload_got: 0,
-            expecting: None,
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
         }
     }
 
-    /// True if a frame is partially read (prefix or payload bytes seen,
-    /// frame not complete).
-    pub fn mid_frame(&self) -> bool {
-        self.prefix_got > 0 || self.expecting.is_some()
+    /// Bytes received but not yet handed out as frames (a partial frame,
+    /// or the head of a connection that is not speaking frames at all).
+    pub(crate) fn buffered(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
     }
 
-    /// Read until one complete frame, EOF at a frame boundary, or an
-    /// error. `Ok(Some(payload))` borrows this reader and is valid
-    /// until the next call; `Ok(None)` is a clean close.
+    /// True if the next [`FrameReader::read_frame`] returns without I/O:
+    /// a complete frame, or a bad prefix it will refuse, is buffered.
+    pub(crate) fn frame_ready(&self) -> bool {
+        !matches!(self.next(), Next::Partial(_))
+    }
+
+    fn next(&self) -> Next {
+        let Some(prefix) = self.buffered().first_chunk::<4>() else {
+            return Next::Partial(4);
+        };
+        let len = u32::from_le_bytes(*prefix);
+        if len > MAX_FRAME {
+            return Next::Bad(FrameError::Oversized(len));
+        }
+        if len == 0 {
+            return Next::Bad(FrameError::Empty);
+        }
+        let total = 4 + len as usize;
+        if self.end - self.start >= total {
+            Next::Frame(len as usize)
+        } else {
+            Next::Partial(total)
+        }
+    }
+
+    /// Return the next frame, reading only when none is buffered: one
+    /// complete frame, EOF at a frame boundary, or an error.
+    /// `Ok(Some(payload))` borrows this reader and is valid until the
+    /// next call; `Ok(None)` is a clean close.
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, FrameError> {
-        while self.expecting.is_none() {
-            match r.read(&mut self.prefix[self.prefix_got..]) {
-                Ok(0) => {
-                    return if self.prefix_got == 0 {
-                        Ok(None)
-                    } else {
-                        Err(FrameError::Torn)
-                    };
+        loop {
+            let total = match self.next() {
+                Next::Frame(len) => {
+                    let at = self.start + 4;
+                    self.start = at + len;
+                    return Ok(Some(&self.buf[at..at + len]));
                 }
-                Ok(n) => {
-                    self.prefix_got += n;
-                    if self.prefix_got == 4 {
-                        let len = u32::from_le_bytes(self.prefix);
-                        if len > MAX_FRAME {
-                            return Err(FrameError::Oversized(len));
-                        }
-                        if len == 0 {
-                            return Err(FrameError::Empty);
-                        }
-                        self.expecting = Some(len as usize);
-                        self.payload.resize(len as usize, 0);
-                        self.payload_got = 0;
-                    }
-                }
-                Err(e) => return Err(map_io(e)),
+                Next::Bad(e) => return Err(e),
+                Next::Partial(total) => total,
+            };
+            // Move the partial tail to the front, then make room for the
+            // whole frame (at most `MAX_FRAME` + 4 bytes).
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
             }
-        }
-        let len = self.expecting.expect("prefix complete");
-        while self.payload_got < len {
-            match r.read(&mut self.payload[self.payload_got..len]) {
+            if total > self.buf.len() {
+                self.buf.resize(total, 0);
+            }
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(None),
                 Ok(0) => return Err(FrameError::Torn),
-                Ok(n) => self.payload_got += n,
+                Ok(n) => self.end += n,
                 Err(e) => return Err(map_io(e)),
             }
         }
-        // Frame complete: reset to the next boundary before handing the
-        // payload out (the buffer itself survives until the next call).
-        self.prefix_got = 0;
-        self.expecting = None;
-        Ok(Some(&self.payload[..len]))
     }
 }
 
@@ -185,8 +215,8 @@ fn map_io(e: io::Error) -> FrameError {
     }
 }
 
-/// Write one frame: length prefix + payload, no flush (callers batch
-/// behind a `BufWriter` and flush per response).
+/// Write one frame: length prefix + payload, no flush (callers queue
+/// frames behind a `BufWriter` and flush once per batch).
 ///
 /// # Panics
 ///
@@ -555,25 +585,216 @@ mod tests {
     #[test]
     fn http_get_prefix_reads_as_oversized() {
         // The sniffing invariant the dual-protocol port relies on.
-        let n = u32::from_le_bytes(*b"GET ");
-        assert!(n > MAX_FRAME);
+        for head in [b"GET ", b"HEAD"] {
+            assert!(u32::from_le_bytes(*head) > MAX_FRAME);
+        }
+    }
+
+    /// One byte per `read`, then `WouldBlock` once dry — the slow-loris
+    /// read path.
+    struct OneByte<'a>(&'a [u8], usize);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.1 >= self.0.len() {
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "dry"));
+            }
+            buf[0] = self.0[self.1];
+            self.1 += 1;
+            Ok(1)
+        }
+    }
+
+    /// A scripted peer: each `read` delivers the next step — bytes (as
+    /// many as fit; the rest stays queued) or, for `None`, a timeout.
+    /// Past the script it reports EOF. `reads` counts every call.
+    struct Script {
+        steps: std::collections::VecDeque<Option<Vec<u8>>>,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(steps: impl IntoIterator<Item = Option<Vec<u8>>>) -> Self {
+            Script {
+                steps: steps.into_iter().collect(),
+                reads: 0,
+            }
+        }
+
+        /// `bytes` cut into `sizes`-long chunks (cycled), no timeouts.
+        fn chunked(bytes: &[u8], sizes: &[usize]) -> Self {
+            let mut steps = Vec::new();
+            let mut at = 0;
+            for &n in sizes.iter().cycle() {
+                if at == bytes.len() {
+                    break;
+                }
+                let to = (at + n).min(bytes.len());
+                steps.push(Some(bytes[at..to].to_vec()));
+                at = to;
+            }
+            Script::new(steps)
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::Error::new(io::ErrorKind::WouldBlock, "quiet")),
+                Some(Some(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for p in payloads {
+            write_frame(&mut out, p).unwrap();
+        }
+        out
+    }
+
+    /// Every frame `r` yields from `src` until it would need I/O that
+    /// `src` cannot serve (a timeout) or the stream ends cleanly.
+    fn drain(r: &mut FrameReader, src: &mut impl Read) -> (Vec<Vec<u8>>, Option<FrameError>) {
+        let mut got = Vec::new();
+        loop {
+            match r.read_frame(src) {
+                Ok(Some(p)) => got.push(p.to_vec()),
+                Ok(None) => return (got, None),
+                Err(e) => return (got, Some(e)),
+            }
+        }
+    }
+
+    const THREE: [&[u8]; 3] = [
+        b"PING",
+        b"RECOGNIZE nr_mapped_vmstat 60 120 6000.5 6010",
+        b"STATS",
+    ];
+
+    #[test]
+    fn three_frames_split_at_every_offset_decode_identically() {
+        let bytes = framed(&THREE);
+        for cut in 0..=bytes.len() {
+            let mut r = FrameReader::new();
+            // The head dribbles in a byte at a time and then goes quiet...
+            let (mut got, stop) = drain(&mut r, &mut OneByte(&bytes[..cut], 0));
+            assert!(
+                matches!(stop, Some(FrameError::Timeout)),
+                "cut {cut}: {stop:?}"
+            );
+            assert!(!r.frame_ready(), "cut {cut}");
+            // ...and the tail arrives in one piece, then a clean close.
+            let (tail, stop) = drain(&mut r, &mut io::Cursor::new(&bytes[cut..]));
+            assert!(stop.is_none(), "cut {cut}: {stop:?}");
+            got.extend(tail);
+            assert_eq!(got, THREE.map(<[u8]>::to_vec), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn one_read_delivers_several_frames() {
+        let mut src = Script::new([Some(framed(&THREE))]);
+        let mut r = FrameReader::new();
+        for want in THREE {
+            assert_eq!(r.read_frame(&mut src).unwrap(), Some(want));
+            assert_eq!(src.reads, 1, "later frames come from the buffer");
+        }
+        assert!(!r.frame_ready());
+        assert_eq!(r.read_frame(&mut src).unwrap(), None);
+        assert_eq!(src.reads, 2);
+    }
+
+    #[test]
+    fn frame_larger_than_the_buffer_grows_it() {
+        let big = vec![b'x'; 3 * READ_BUF + 17];
+        let bytes = framed(&[b"PING", &big, b"STATS"]);
+        for sizes in [&[bytes.len()][..], &[1000, 1], &[READ_BUF]] {
+            let mut r = FrameReader::new();
+            let (got, stop) = drain(&mut r, &mut Script::chunked(&bytes, sizes));
+            assert!(stop.is_none(), "{sizes:?}: {stop:?}");
+            assert_eq!(got, vec![b"PING".to_vec(), big.clone(), b"STATS".to_vec()]);
+        }
+    }
+
+    #[test]
+    fn max_frame_is_accepted_and_one_byte_more_is_refused_before_its_payload() {
+        let max = vec![b'a'; MAX_FRAME as usize];
+        let mut r = FrameReader::new();
+        let mut cur = io::Cursor::new(framed(&[&max]));
+        assert_eq!(
+            r.read_frame(&mut cur).unwrap().map(<[u8]>::len),
+            Some(max.len())
+        );
+        assert_eq!(r.read_frame(&mut cur).unwrap(), None);
+
+        // The prefix alone arrives; the refusal must not wait for (or
+        // read) a single payload byte.
+        let prefix = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        let mut src = Script::new([Some(prefix.clone()), Some(vec![b'a'; 64])]);
+        let mut r = FrameReader::new();
+        assert!(matches!(
+            r.read_frame(&mut src),
+            Err(FrameError::Oversized(n)) if n == MAX_FRAME + 1
+        ));
+        assert_eq!(src.reads, 1, "no read past the prefix");
+        assert!(r.frame_ready(), "the refusal needs no I/O");
+        assert_eq!(r.buffered(), &prefix[..]);
+    }
+
+    #[test]
+    fn timeouts_mid_prefix_and_mid_payload_resume() {
+        let bytes = framed(&[b"PING", b"STATS"]);
+        // prefix 2 | quiet | prefix 2 + payload 1 | quiet | the rest
+        let mut src = Script::new([
+            Some(bytes[..2].to_vec()),
+            None,
+            Some(bytes[2..5].to_vec()),
+            None,
+            Some(bytes[5..].to_vec()),
+        ]);
+        let mut r = FrameReader::new();
+        for _ in 0..2 {
+            assert!(matches!(r.read_frame(&mut src), Err(FrameError::Timeout)));
+            assert!(!r.frame_ready());
+        }
+        assert_eq!(r.read_frame(&mut src).unwrap(), Some(&b"PING"[..]));
+        assert_eq!(r.read_frame(&mut src).unwrap(), Some(&b"STATS"[..]));
+        assert_eq!(r.read_frame(&mut src).unwrap(), None);
+    }
+
+    #[test]
+    fn frame_ready_is_true_exactly_when_read_frame_needs_no_io() {
+        let mut bytes = framed(&THREE);
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // ends on an empty-frame refusal
+        for sizes in [&[1][..], &[3], &[7, 2], &[11, 1, 5], &[bytes.len()]] {
+            let mut src = Script::chunked(&bytes, sizes);
+            let mut r = FrameReader::new();
+            loop {
+                let (ready, before) = (r.frame_ready(), src.reads);
+                let out = r.read_frame(&mut src);
+                assert_eq!(src.reads == before, ready, "{sizes:?}");
+                match out {
+                    Ok(Some(_)) => {}
+                    Err(FrameError::Empty) => break,
+                    other => panic!("{sizes:?}: unexpected {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
     fn reader_resumes_across_byte_dribble() {
-        // One byte at a time through a reader that yields between reads —
-        // the slow-loris read path.
-        struct OneByte<'a>(&'a [u8], usize);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "dry"));
-                }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
-            }
-        }
         let mut framed = Vec::new();
         write_frame(&mut framed, b"PING").unwrap();
         let mut src = OneByte(&framed, 0);
@@ -590,7 +811,7 @@ mod tests {
             }
             assert!(timeouts < 3, "must finish before going dry");
         }
-        assert!(r.mid_frame() || timeouts == 0);
+        assert!(r.buffered().is_empty());
     }
 
     #[test]

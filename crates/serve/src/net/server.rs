@@ -30,15 +30,23 @@
 //! dribbling a frame a byte at a time (slow loris) — is dropped and
 //! counted in `efd_protocol_errors_total{kind="idle-timeout"}`.
 //!
+//! ## Batched socket I/O
+//!
+//! Each connection reads through one buffered [`FrameReader`]: a single
+//! `read` picks up every frame the peer has pipelined, and the replies
+//! queue in a `BufWriter` that is flushed only when no complete frame
+//! is left in the read buffer — just before the worker could block on
+//! a read — and before the connection ends. A batch of 32 pipelined
+//! requests costs one read and one write, not 96 syscalls.
+//!
 //! ## One port, two protocols
 //!
-//! The first four bytes of a connection are sniffed: a valid frame
-//! prefix is ≤ [`MAX_FRAME`], while `GET `/`HEAD` decode far above it,
-//! so plain-HTTP scrapes of `/metrics` and `/healthz` share the
-//! recognition port. The sniffed bytes are consumed and replayed into
-//! whichever handler wins (a `Chain` reader for the frame path), so a
-//! peer that closes after 1–3 bytes is classified as a torn frame
-//! immediately instead of holding the worker to the idle timeout.
+//! A valid frame prefix is ≤ [`MAX_FRAME`], while `GET `/`HEAD` decode
+//! far above it, so a connection whose first frame is refused as
+//! oversized and opens with one of them is handed, with the bytes
+//! already read, to the HTTP handler: plain-HTTP scrapes of `/metrics`
+//! and `/healthz` share the recognition port. A peer that closes after
+//! 1–3 bytes is a torn frame at once, not a wait for the idle timeout.
 
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
@@ -569,55 +577,9 @@ fn worker_loop(shared: &Shared) {
         };
         let Some(stream) = conn else { return };
         shared.metrics.active_connections.add(1);
-        let _ = handle_conn(shared, stream, &mut scratch);
+        let _ = frame_loop(shared, stream, &mut scratch);
         shared.metrics.active_connections.add(-1);
     }
-}
-
-/// Serve one connection to completion (sniffs frame protocol vs HTTP).
-/// The sniffed bytes are consumed here and replayed into the winning
-/// handler.
-fn handle_conn(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TICK))?;
-    let mut first = [0u8; 4];
-    let mut got = 0;
-    let mut idle = Duration::ZERO;
-    while got < 4 {
-        if shared.stopping() {
-            return Ok(());
-        }
-        match stream.read(&mut first[got..]) {
-            Ok(0) => {
-                // Closed before a full sniff window: silent if no byte
-                // ever arrived, torn if the prefix was cut short.
-                if got > 0 {
-                    shared.metrics.count_error("torn");
-                }
-                return Ok(());
-            }
-            Ok(n) => {
-                got += n;
-                idle = Duration::ZERO;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                idle += READ_TICK;
-                if idle >= shared.cfg.idle_timeout {
-                    shared.metrics.count_error("idle-timeout");
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if &first == b"GET " || &first == b"HEAD" {
-        return handle_http(shared, stream, &first);
-    }
-    frame_loop(shared, stream, scratch, idle, first)
 }
 
 /// Per-connection streaming state: one open [`OnlineSession`] plus the
@@ -646,71 +608,94 @@ fn reply(text: String) -> Reply {
     }
 }
 
-fn frame_loop(
-    shared: &Shared,
-    stream: TcpStream,
-    scratch: &mut VoteScratch,
-    mut idle: Duration,
-    sniffed: [u8; 4],
-) -> io::Result<()> {
+/// Serve one connection to completion: frames, or one HTTP request if
+/// it opens with `GET `/`HEAD`. Read → dispatch → queue, flushing the
+/// queued replies only when no complete frame is buffered — just before
+/// the read that could block — and before every exit, so a pipelined
+/// batch is answered with one write.
+fn frame_loop(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
     let mut writer = BufWriter::new(stream.try_clone()?);
-    // Replay the sniffed bytes (the first frame's length prefix) ahead
-    // of the live stream.
-    let mut src = io::Cursor::new(sniffed).chain(stream);
+    // Decode instants of the replies queued since the last flush.
+    let mut queued: Vec<Instant> = Vec::new();
     let mut session: Option<StreamState> = None;
+    let mut idle = Duration::ZERO;
+    let mut first = true;
     loop {
         if shared.stopping() {
-            return Ok(());
+            break;
         }
-        let started;
-        let out = match reader.read_frame(&mut src) {
-            Ok(None) => return Ok(()), // clean close at a frame boundary
+        if !reader.frame_ready() {
+            flush(shared, &mut writer, &mut queued)?;
+        }
+        match reader.read_frame(&mut stream) {
+            Ok(None) => break, // clean close at a frame boundary
             Ok(Some(payload)) => {
                 idle = Duration::ZERO;
-                started = Instant::now();
-                dispatch(shared, payload, &mut session, scratch)
+                first = false;
+                queued.push(Instant::now());
+                let out = dispatch(shared, payload, &mut session, scratch);
+                write_frame(&mut writer, out.text.as_bytes())?;
+                if let Action::ShutdownDaemon = out.action {
+                    shared.stop();
+                    break;
+                }
             }
             Err(FrameError::Timeout) => {
                 idle += READ_TICK;
                 if idle >= shared.cfg.idle_timeout {
                     shared.metrics.count_error("idle-timeout");
-                    return Ok(());
+                    break;
                 }
-                continue;
             }
             Err(FrameError::Torn) => {
                 shared.metrics.count_error("torn");
-                return Ok(());
+                break;
             }
             Err(FrameError::Oversized(n)) => {
+                // `GET ` and `HEAD` read as oversized prefixes: a
+                // connection that opens with one is an HTTP request.
+                let head = reader.buffered();
+                if first && (head.starts_with(b"GET ") || head.starts_with(b"HEAD")) {
+                    return handle_http(shared, stream, head.to_vec());
+                }
                 shared.metrics.count_error("oversized");
-                // Best-effort structured refusal; the peer may already
-                // be gone, and we drop the connection either way (the
-                // stream position is unrecoverable).
+                // Structured refusal, then drop: the stream position is
+                // unrecoverable.
                 let msg = format!("ERR oversized frame length {n} exceeds {MAX_FRAME} bytes");
-                let _ = write_frame(&mut writer, msg.as_bytes()).and_then(|_| writer.flush());
-                return Ok(());
+                write_frame(&mut writer, msg.as_bytes())?;
+                break;
             }
             Err(FrameError::Empty) => {
                 shared.metrics.count_error("empty");
-                let _ = write_frame(&mut writer, b"ERR empty zero-length frame")
-                    .and_then(|_| writer.flush());
-                return Ok(());
+                write_frame(&mut writer, b"ERR empty zero-length frame")?;
+                break;
             }
-            Err(FrameError::Io(_)) => return Ok(()), // reset/broken pipe: clean drop
-        };
-        write_frame(&mut writer, out.text.as_bytes())?;
-        writer.flush()?;
-        shared.metrics.request_duration.observe_duration(started.elapsed());
-        match out.action {
-            Action::Continue => {}
-            Action::ShutdownDaemon => {
-                shared.stop();
-                return Ok(());
-            }
+            Err(FrameError::Io(_)) => break, // reset/broken pipe: clean drop
         }
     }
+    // Best effort: the peer may already be gone.
+    let _ = flush(shared, &mut writer, &mut queued);
+    Ok(())
+}
+
+/// Write out the queued replies, then observe each one's
+/// `efd_request_duration_seconds` (frame decoded → response flushed).
+fn flush(
+    shared: &Shared,
+    writer: &mut BufWriter<TcpStream>,
+    queued: &mut Vec<Instant>,
+) -> io::Result<()> {
+    writer.flush()?;
+    if !queued.is_empty() {
+        let now = Instant::now();
+        for t in queued.drain(..) {
+            shared.metrics.request_duration.observe_duration(now - t);
+        }
+    }
+    Ok(())
 }
 
 /// Answer one request. Infallible by construction: every failure mode
@@ -955,9 +940,9 @@ fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
 }
 
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.
-/// One request per connection (`Connection: close`).
-fn handle_http(shared: &Shared, mut stream: TcpStream, sniffed: &[u8; 4]) -> io::Result<()> {
-    let mut head = sniffed.to_vec();
+/// One request per connection (`Connection: close`); `head` is what the
+/// frame reader had already received.
+fn handle_http(shared: &Shared, mut stream: TcpStream, mut head: Vec<u8>) -> io::Result<()> {
     let mut buf = [0u8; 1024];
     let mut idle = Duration::ZERO;
     loop {

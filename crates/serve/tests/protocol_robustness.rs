@@ -14,10 +14,11 @@
 mod common;
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use common::*;
+use efd_serve::net::protocol::write_frame;
 use efd_serve::net::{Server, MAX_FRAME};
 
 /// A one-worker daemon over the harness corpus — the strictest setting
@@ -228,5 +229,109 @@ fn quiet_connection_with_no_bytes_is_also_idle_dropped() {
     assert!(client.recv_or_close().is_none());
     assert_daemon_healthy(&server);
     server.shutdown();
+    server.join();
+}
+
+/// `lines` as one contiguous byte string of frames — a pipelined batch.
+fn batch(lines: &[String]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for l in lines {
+        write_frame(&mut out, l.as_bytes()).expect("write to Vec");
+    }
+    out
+}
+
+/// Every reply until the daemon closes the connection.
+fn replies_until_close(client: &mut Client) -> Vec<String> {
+    std::iter::from_fn(|| client.recv_or_close()).collect()
+}
+
+#[test]
+fn pipelined_batch_is_answered_in_order_like_one_request_at_a_time() {
+    let server = one_worker_server(|_| {});
+    let means = [
+        [6000.0, 6000.0],
+        [111.0, 222.0],
+        [6000.0, 6004.0],
+        [9.5, 9.5],
+    ];
+    let lines: Vec<String> = (0..64)
+        .map(|i| match i % 3 {
+            0 => "PING".to_string(),
+            _ => recognize_line(&means[i % means.len()]),
+        })
+        .collect();
+    // One request at a time first (this connection must close before
+    // the single worker takes the next one).
+    let want: Vec<String> = {
+        let mut c = Client::connect(server.local_addr());
+        lines.iter().map(|l| c.request(l)).collect()
+    };
+    let mut client = Client::connect(server.local_addr());
+    client.stream.write_all(&batch(&lines)).expect("one write");
+    client.stream.shutdown(Shutdown::Write).expect("half-close");
+    assert_eq!(replies_until_close(&mut client), want);
+    // Every reply carried in a batched flush is still timed.
+    wait_until("128 request durations", || {
+        server
+            .metrics_text()
+            .contains("efd_request_duration_seconds_count 128\n")
+    });
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn oversized_prefix_after_a_pipelined_batch_is_refused_after_its_replies() {
+    let server = one_worker_server(|_| {});
+    let mut bytes = batch(&vec!["PING".to_string(); 5]);
+    bytes.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+    let mut client = Client::connect(server.local_addr());
+    client.stream.write_all(&bytes).expect("one write");
+    let got = replies_until_close(&mut client);
+    assert_eq!(got.len(), 6, "{got:?}");
+    assert!(got[..5].iter().all(|r| r == "PONG"), "{got:?}");
+    assert!(got[5].starts_with("ERR oversized"), "{got:?}");
+    assert_eq!(error_count(&server, "oversized"), 1);
+    assert_daemon_healthy(&server);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn torn_tail_after_a_pipelined_batch_is_dropped_after_its_replies() {
+    let server = one_worker_server(|_| {});
+    let mut bytes = batch(&vec!["PING".to_string(); 5]);
+    bytes.extend_from_slice(&100u32.to_le_bytes());
+    bytes.extend_from_slice(b"PING"); // 4 of 100 promised payload bytes
+    let mut client = Client::connect(server.local_addr());
+    client.stream.write_all(&bytes).expect("one write");
+    client
+        .stream
+        .shutdown(Shutdown::Write)
+        .expect("close mid-frame");
+    assert_eq!(replies_until_close(&mut client), vec!["PONG"; 5]);
+    wait_until("torn count", || error_count(&server, "torn") == 1);
+    assert_daemon_healthy(&server);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn shutdown_mid_batch_answers_what_precedes_it_then_stops_the_daemon() {
+    let server = one_worker_server(|_| {});
+    let ok = recognize_line(&[6000.0, 6000.0]);
+    let lines = ["PING", &ok, "SHUTDOWN", "PING", &ok].map(str::to_string);
+    let mut client = Client::connect(server.local_addr());
+    client.stream.write_all(&batch(&lines)).expect("one write");
+    let got = replies_until_close(&mut client);
+    assert_eq!(got, ["PONG", "OK 1 2 2 recognized ft", "BYE"]);
+    wait_until("daemon stops", || !server.running());
+    // The closing flush times the replies it carried.
+    wait_until("3 request durations", || {
+        server
+            .metrics_text()
+            .contains("efd_request_duration_seconds_count 3\n")
+    });
     server.join();
 }
