@@ -31,6 +31,8 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use efd_serve::Backend;
+
 use crate::store::CatalogError;
 
 /// Schema tag a manifest must carry.
@@ -39,14 +41,9 @@ pub const MANIFEST_SCHEMA: &str = "recognizer.v1";
 /// Which engine a stage runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageBackend {
-    /// Owned in-memory snapshot of the exact dictionary.
-    Exact,
-    /// Zero-copy snapshot served off the EFDB bytes.
-    Efdb,
-    /// Sharded concurrent dictionary.
-    Sharded,
-    /// Combinatorial (multi-point) fingerprint snapshot.
-    Combo,
+    /// A dictionary-family engine built by the serve registry. The
+    /// manifest spells [`Backend::Snapshot`] `exact`.
+    Served(Backend),
     /// k-nearest-neighbour fallback with abstention.
     Knn {
         /// Neighbour count.
@@ -60,10 +57,8 @@ impl StageBackend {
     /// The manifest's string form.
     pub fn name(&self) -> &'static str {
         match self {
-            StageBackend::Exact => "exact",
-            StageBackend::Efdb => "efdb",
-            StageBackend::Sharded => "sharded",
-            StageBackend::Combo => "combo",
+            StageBackend::Served(Backend::Snapshot) => "exact",
+            StageBackend::Served(b) => b.name(),
             StageBackend::Knn { .. } => "knn",
             StageBackend::GaussianNb => "gaussian-nb",
         }
@@ -114,10 +109,7 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
         .and_then(|b| b.as_str())
         .ok_or_else(|| invalid(format!("stack[{i}]: missing string field \"backend\"")))?;
     let backend = match backend_name {
-        "exact" => StageBackend::Exact,
-        "efdb" => StageBackend::Efdb,
-        "sharded" => StageBackend::Sharded,
-        "combo" => StageBackend::Combo,
+        "exact" => StageBackend::Served(Backend::Snapshot),
         "knn" => {
             let k = match v.get("k") {
                 None => 3,
@@ -130,11 +122,9 @@ fn parse_stage(i: usize, v: &serde::Value) -> Result<ManifestStage, CatalogError
             StageBackend::Knn { k }
         }
         "gaussian-nb" => StageBackend::GaussianNb,
-        other => {
-            return Err(invalid(format!(
-                "stack[{i}]: unknown backend {other:?} (want exact|efdb|sharded|combo|knn|gaussian-nb)"
-            )))
-        }
+        other => StageBackend::Served(Backend::parse(other).map_err(|e| {
+            invalid(format!("stack[{i}]: {e}, or exact|knn|gaussian-nb"))
+        })?),
     };
     let artifact = v
         .get("artifact")
@@ -247,7 +237,8 @@ mod tests {
         assert_eq!(m.name, "prod");
         assert_eq!(m.catalog_dir.as_deref(), Some(Path::new("cat")));
         assert_eq!(m.stack.len(), 3);
-        assert_eq!(m.primary().backend, StageBackend::Exact);
+        assert_eq!(m.primary().backend, StageBackend::Served(Backend::Snapshot));
+        assert_eq!(m.primary().backend.to_string(), "exact");
         assert_eq!(m.stack[2].backend, StageBackend::Knn { k: 5 });
         assert_eq!(m.stack[2].min_confidence, 0.0, "defaults to 0");
     }

@@ -26,7 +26,6 @@
 //! efd ctl <action> --addr <a>             ping|stats|status|swap|shutdown|metrics
 //! efd compact --wal <dir> [--out p]       merge WAL segments+log into canonical EFDB
 //! efd wal-verify --wal <dir>              audit a WAL directory offline
-//! efd bench-snapshot [--out f]            machine-readable perf snapshot (BENCH_7.json)
 //! efd report --out <path>                 write EXPERIMENTS.md content
 //! efd help
 //! ```
@@ -41,6 +40,7 @@ use std::process::ExitCode;
 use efd_catalog::{Baseline, Catalog, CatalogRef, Manifest, StageBackend};
 use efd_core::engine::Recognize;
 use efd_core::{binfmt, serialize, EfdDictionary};
+use efd_serve::{Backend, Source};
 use efd_eval::classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
 use efd_eval::engine::{EngineClassifier, MlBackend};
 use efd_eval::experiments::{run_experiment, EvalOptions, ExperimentKind, ExperimentResult};
@@ -645,8 +645,8 @@ fn cmd_dump(args: &Args) -> Result<(), String> {
     let out = args.flag("out").ok_or("need --out <path>")?;
     let format = DumpFormat::from_args(args, out)?;
     if let Some(keys) = args.flag_parsed::<usize>("synth-keys")? {
-        // The synthetic serving keyspace (shared with `bench-snapshot`
-        // and `loadgen --keyspace`) instead of the trained dataset —
+        // The synthetic serving keyspace (shared with `loadgen
+        // --keyspace`) instead of the trained dataset —
         // how the 1M-key daemon fixture is produced.
         let d = dataset_from(args)?;
         let dict = synth_keyspace_dict(keys, headline(&d));
@@ -822,35 +822,11 @@ fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
         .collect()
 }
 
-/// Which engine backend `efd serve` answers through — all of them behind
-/// one `Box<dyn Recognize + Send + Sync>`, so the serving loop below is
-/// backend-agnostic.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ServeBackend {
-    /// Immutable published [`efd_serve::Snapshot`] (the default).
-    Snapshot,
-    /// Live [`efd_serve::ShardedDictionary`] (per-shard `RwLock`s).
-    Sharded,
-    /// Conjunctive [`efd_serve::ComboSnapshot`] over the same entries.
-    Combo,
-    /// Zero-copy [`efd_serve::EfdbSnapshot`] straight over the loaded
-    /// EFDB bytes (requires an `.efdb` file).
-    Efdb,
-}
-
-impl ServeBackend {
-    fn from_args(args: &Args) -> Result<Self, String> {
-        match args.flag("backend") {
-            None | Some("snapshot") => Ok(ServeBackend::Snapshot),
-            Some("sharded") => Ok(ServeBackend::Sharded),
-            Some("combo") => Ok(ServeBackend::Combo),
-            Some("efdb") => Ok(ServeBackend::Efdb),
-            Some(other) => Err(format!(
-                "unknown --backend {other:?} (snapshot|sharded|combo|efdb)"
-            )),
-        }
-    }
-
+/// The `--backend` registry name for `efd serve --load` (default
+/// `snapshot`).
+fn serve_backend(args: &Args) -> Result<Backend, String> {
+    Backend::parse(args.flag("backend").unwrap_or("snapshot"))
+        .map_err(|e| format!("--backend: {e}"))
 }
 
 /// Run the query batch through an engine and print the `batch:` and
@@ -1036,6 +1012,13 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::Instant;
 
+    if args.flag("backend").is_some()
+        && (args.flag("manifest").is_some() || args.flag("wal").is_some())
+    {
+        return Err(
+            "--backend applies to --load; it cannot be combined with --manifest or --wal".into(),
+        );
+    }
     if let Some(addr) = args.flag("listen") {
         return cmd_serve_listen(args, addr);
     }
@@ -1065,82 +1048,31 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let backend_kind = ServeBackend::from_args(args)?;
-    let dict_spec = match (args.flag("dict"), args.flag("load")) {
-        (Some(p), None) | (None, Some(p)) => p,
-        (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
-        (None, None) => {
-            return Err(
-                "need --load <dump.json|dict.efdb> or --wal <dir> (produce a dump with `efd dump`)"
-                    .into(),
-            )
-        }
-    };
+    let backend = serve_backend(args)?;
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
     let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
 
     let d = dataset_from(args)?;
-    let src = resolve_dict_source(dict_spec, args.flag("catalog"))?;
+    let src = load_source(args)?;
     let dict_path = src.shown.as_str();
 
-    // Load the dictionary. An EFDB file is zero-parse decoded; a JSON
-    // dump pays a text parse. The live `EfdDictionary` is always needed
-    // (oracle comparison below, and it feeds the non-snapshot backends);
-    // the snapshot fast path (decoded EFDB sections → snapshot, no
-    // intermediate dictionary) is taken only when a snapshot is actually
-    // being served.
+    // The oracle dictionary is decoded for the speedup line; the served
+    // engine is built by the registry from the same bytes, decoding only
+    // what the backend needs. Decode failures carry the file size, so a
+    // truncation is immediately diagnosable.
     let raw = std::fs::read(&src.path).map_err(|e| format!("{dict_path}: {e}"))?;
-    let is_efdb = raw.starts_with(&binfmt::MAGIC);
-    let (dict, fast_snapshot) = if is_efdb {
-        let t = Instant::now();
-        // Decode failures report the structured BinFormatError plus the
-        // file size, so a truncation is immediately diagnosable.
-        let efdb = binfmt::read(&raw)
-            .map_err(|e| format!("{dict_path}: {e} (file is {} bytes)", raw.len()))?;
-        let decode = t.elapsed();
-        if !efdb.matches_catalog(d.catalog()) {
-            println!(
-                "note:       writer's catalog digest differs; metrics resolved by name"
-            );
-        }
-        let t = Instant::now();
-        let snapshot = if backend_kind == ServeBackend::Snapshot {
-            Some(
-                efd_serve::Snapshot::from_efdb(&efdb, d.catalog(), shards)
-                    .map_err(|e| format!("{dict_path}: {e}"))?,
-            )
-        } else {
-            None
-        };
-        let build = t.elapsed();
-        let parts = efdb
-            .into_parts(d.catalog())
-            .map_err(|e| format!("{dict_path}: {e}"))?;
-        report_loaded(
-            &src,
-            &format!(
-                "{} bytes efdb, decode {:.2} ms, snapshot {:.2} ms",
-                raw.len(),
-                decode.as_secs_f64() * 1e3,
-                build.as_secs_f64() * 1e3,
-            ),
-        );
-        (EfdDictionary::from_parts(parts), snapshot)
-    } else {
-        let text = std::str::from_utf8(&raw).map_err(|e| format!("{dict_path}: {e}"))?;
-        let t = Instant::now();
-        let dict = serialize::from_json(text, d.catalog()).map_err(|e| e.to_string())?;
-        let parse = t.elapsed();
-        report_loaded(
-            &src,
-            &format!(
-                "{} bytes json, parse {:.2} ms",
-                raw.len(),
-                parse.as_secs_f64() * 1e3,
-            ),
-        );
-        (dict, None)
-    };
+    let t = Instant::now();
+    let (dict, format) = decode_dict(&raw, d.catalog(), dict_path)
+        .map_err(|e| format!("{e} (file is {} bytes)", raw.len()))?;
+    report_loaded(
+        &src,
+        &format!(
+            "{} bytes {}, decode {:.2} ms",
+            raw.len(),
+            format.name(),
+            t.elapsed().as_secs_f64() * 1e3
+        ),
+    );
 
     let queries = serve_queries(args, &d)?;
     println!(
@@ -1151,60 +1083,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         dict.app_names().len()
     );
 
-    // Runtime backend selection through the engine API: every backend is
-    // a `Recognize`, so the serving loop below is written once against
-    // an `Arc<dyn Recognize + Send + Sync>`. Only the selected backend
-    // is built.
-    let engine: Arc<dyn Recognize + Send + Sync> = match backend_kind {
-        ServeBackend::Snapshot => {
-            let snapshot =
-                fast_snapshot.unwrap_or_else(|| efd_serve::Snapshot::freeze(&dict, shards));
-            let sizes = snapshot.shard_sizes();
-            println!(
-                "backend:    snapshot — {} shards, keys/shard min {} max {}",
-                snapshot.shard_count(),
-                sizes.iter().min().unwrap_or(&0),
-                sizes.iter().max().unwrap_or(&0),
-            );
-            Arc::new(snapshot)
-        }
-        ServeBackend::Sharded => {
-            let sharded = efd_serve::ShardedDictionary::from_parts(dict.to_parts(), shards);
-            let sizes = sharded.shard_sizes();
-            println!(
-                "backend:    sharded — {} shards, keys/shard min {} max {}",
-                sharded.shard_count(),
-                sizes.iter().min().unwrap_or(&0),
-                sizes.iter().max().unwrap_or(&0),
-            );
-            Arc::new(sharded)
-        }
-        ServeBackend::Combo => {
-            let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                .ok_or("--backend combo needs a non-empty single-metric dictionary")?;
-            println!("backend:    combo — {} conjunctive keys", combo.len());
-            Arc::new(efd_serve::ComboSnapshot::freeze(combo))
-        }
-        ServeBackend::Efdb => {
-            if !is_efdb {
-                return Err(
-                    "--backend efdb serves EFDB bytes in place; --load a .efdb file \
-                     (a JSON dump has no binary form to map — convert it with `efd convert`)"
-                        .into(),
-                );
-            }
-            let t = Instant::now();
-            let snapshot = efd_serve::EfdbSnapshot::load(raw, d.catalog())
-                .map_err(|e| format!("{dict_path}: {e}"))?;
-            println!(
-                "backend:    efdb — zero-copy over {} bytes, {} keys, load {:.2} ms",
-                snapshot.byte_len(),
-                snapshot.len(),
-                t.elapsed().as_secs_f64() * 1e3,
-            );
-            Arc::new(snapshot)
-        }
-    };
+    let t = Instant::now();
+    let (engine, keys) = backend
+        .build(Source::Bytes(raw), d.catalog(), shards)
+        .map_err(|e| format!("{dict_path}: {e}"))?;
+    println!(
+        "backend:    {} — {keys} keys, built in {:.2} ms",
+        backend.name(),
+        t.elapsed().as_secs_f64() * 1e3
+    );
 
     let elapsed = serve_batch(engine, &queries, repeat);
     // Single-thread oracle loop over the same work, for the speedup line.
@@ -1243,16 +1130,13 @@ fn install_sighup(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 /// (one-shot and streaming), `/metrics` over HTTP on the same port,
 /// SIGHUP / `SWAP` hot reload, graceful shutdown via `efd ctl`.
 fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
-    use efd_serve::net::{self, BackendKind};
+    use efd_serve::net;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     let d = dataset_from(args)?;
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
-    let backend_name = args.flag("backend").unwrap_or("snapshot");
-    let backend = BackendKind::parse(backend_name).ok_or_else(|| {
-        format!("unknown --backend {backend_name:?} (snapshot|sharded|combo|efdb)")
-    })?;
+    let backend = serve_backend(args)?;
     let mut cfg = net::ServerConfig::new(d.catalog().clone());
     cfg.workers = args.flag_parsed::<usize>("workers")?.unwrap_or(4).max(1);
     cfg.idle_timeout =
@@ -1317,22 +1201,12 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
         );
         net::Engine::durable(Arc::new(served))
     } else {
-        let spec = match (args.flag("dict"), args.flag("load")) {
-            (Some(p), None) | (None, Some(p)) => p,
-            (Some(_), Some(_)) => return Err("--dict and --load are mutually exclusive".into()),
-            (None, None) => {
-                return Err(
-                    "need --load <dump.json|dict.efdb> or --wal <dir> (produce a dump with `efd dump`)"
-                        .into(),
-                )
-            }
-        };
-        let src = resolve_dict_source(spec, args.flag("catalog"))?;
+        let src = load_source(args)?;
         if let Some(p) = &src.provenance {
             println!("provenance: {p}");
         }
         cfg.reload_path = Some(src.path.clone());
-        let mut engine = net::load_engine(&src.path, backend, d.catalog(), shards)?;
+        let mut engine = net::Engine::load(&src.path, backend, d.catalog(), shards)?;
         if let Some(v) = src.version {
             engine = engine.with_version(v);
         }
@@ -1485,6 +1359,18 @@ fn resolve_dict_source(spec: &str, catalog_dir: Option<&str>) -> Result<DictSour
             version: None,
             baseline: None,
         })
+    }
+}
+
+/// Resolve `efd serve`'s `--load` (alias `--dict`) operand.
+fn load_source(args: &Args) -> Result<DictSource, String> {
+    match (args.flag("dict"), args.flag("load")) {
+        (Some(p), None) | (None, Some(p)) => resolve_dict_source(p, args.flag("catalog")),
+        (Some(_), Some(_)) => Err("--dict and --load are mutually exclusive".into()),
+        (None, None) => Err(
+            "need --load <dump.json|dict.efdb> or --wal <dir> (produce a dump with `efd dump`)"
+                .into(),
+        ),
     }
 }
 
@@ -1764,14 +1650,21 @@ struct ManifestEngine {
     provenance: Vec<String>,
 }
 
-/// Rebuild a labeled training stream from a dictionary's own entries —
-/// how an ml fallback stage learns the knowledge the exact stages serve
-/// (one single-point observation per key-label pair).
-fn dictionary_observations(dict: &EfdDictionary) -> Vec<efd_core::LabeledObservation> {
-    let mut out = Vec::new();
+/// An ml fallback stage trained on a dictionary artifact's own entries:
+/// one single-point observation per key-label pair, so the stage learns
+/// the knowledge the exact stages serve.
+fn ml_stage(
+    mut ml: MlBackend,
+    raw: &[u8],
+    catalog: &efd_telemetry::MetricCatalog,
+    shown: &str,
+) -> Result<efd_serve::registry::Built, String> {
+    use efd_core::engine::Learn as _;
+
+    let (dict, _) = decode_dict(raw, catalog, shown)?;
     for (fp, labels) in dict.entries() {
         for l in labels {
-            out.push(efd_core::LabeledObservation {
+            ml.learn(&efd_core::LabeledObservation {
                 label: (*l).clone(),
                 query: efd_core::Query {
                     points: vec![efd_core::observation::ObsPoint {
@@ -1784,7 +1677,7 @@ fn dictionary_observations(dict: &EfdDictionary) -> Vec<efd_core::LabeledObserva
             });
         }
     }
-    out
+    Ok((std::sync::Arc::new(ml), dict.len()))
 }
 
 /// Build the stacked engine a manifest declares. Every stage's artifact
@@ -1796,9 +1689,6 @@ fn engine_from_manifest(
     catalog: &efd_telemetry::MetricCatalog,
     shards: usize,
 ) -> Result<ManifestEngine, String> {
-    use efd_core::engine::Learn as _;
-    use std::sync::Arc;
-
     let m = Manifest::load(path).map_err(|e| e.to_string())?;
     let cat = match &m.catalog_dir {
         Some(dir) => Some(Catalog::open(dir.clone()).map_err(|e| e.to_string())?),
@@ -1833,9 +1723,19 @@ fn engine_from_manifest(
                 )
             }
         };
-        let (dict, _) = decode_dict(&raw, catalog, &shown)?;
+        let (engine, stage_keys) = match &stage.backend {
+            StageBackend::Served(b) => b
+                .build(Source::Bytes(raw), catalog, shards)
+                .map_err(|e| format!("{shown}: {e}"))?,
+            StageBackend::Knn { k } => {
+                ml_stage(MlBackend::knn(*k, stage.min_confidence), &raw, catalog, &shown)?
+            }
+            StageBackend::GaussianNb => {
+                ml_stage(MlBackend::gaussian_nb(stage.min_confidence), &raw, catalog, &shown)?
+            }
+        };
         if i == 0 {
-            keys = dict.len();
+            keys = stage_keys;
             if let Some(a) = artifact {
                 version = Some(a.artifact_ref());
                 baseline = a.baseline.as_ref().map(|b| efd_serve::net::DriftBaseline {
@@ -1847,46 +1747,6 @@ fn engine_from_manifest(
         if let Some(a) = artifact {
             provenance.push(a.provenance());
         }
-        let engine: Arc<dyn Recognize + Send + Sync> = match &stage.backend {
-            StageBackend::Exact => Arc::new(efd_serve::Snapshot::freeze(&dict, shards)),
-            StageBackend::Efdb => {
-                // Zero-copy wants canonical EFDB bytes; re-encode when
-                // the artifact was a JSON dump.
-                let bytes = if raw.starts_with(&binfmt::MAGIC) {
-                    raw.clone()
-                } else {
-                    binfmt::write_dictionary(&dict, catalog)
-                };
-                Arc::new(
-                    efd_serve::EfdbSnapshot::load(bytes, catalog)
-                        .map_err(|e| format!("{shown}: {e}"))?,
-                )
-            }
-            StageBackend::Sharded => {
-                Arc::new(efd_serve::ShardedDictionary::from_parts(dict.to_parts(), shards))
-            }
-            StageBackend::Combo => {
-                let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                    .ok_or_else(|| {
-                        format!("{shown}: combo stage needs a non-empty single-metric dictionary")
-                    })?;
-                Arc::new(efd_serve::ComboSnapshot::freeze(combo))
-            }
-            StageBackend::Knn { k } => {
-                let mut ml = MlBackend::knn(*k, stage.min_confidence);
-                for obs in dictionary_observations(&dict) {
-                    ml.learn(&obs);
-                }
-                Arc::new(ml)
-            }
-            StageBackend::GaussianNb => {
-                let mut ml = MlBackend::gaussian_nb(stage.min_confidence);
-                for obs in dictionary_observations(&dict) {
-                    ml.learn(&obs);
-                }
-                Arc::new(ml)
-            }
-        };
         stages.push(efd_serve::StackedStage {
             name: stage.backend.to_string(),
             engine,
@@ -2204,9 +2064,9 @@ fn cmd_wal_verify(args: &Args) -> Result<(), String> {
 
 /// The shared synthetic keyspace: key `i` is `(headline metric,
 /// node i % 64, [60:120], mean 100_000 + i)` labeled `app{i%50}/X` at
-/// rounding depth 6 (sequential means stay distinct). `bench-snapshot`,
-/// `dump --synth-keys`, and `loadgen --keyspace` all derive from this
-/// one shape, so a loadgen against a `--synth-keys` EFDB hits real keys
+/// rounding depth 6 (sequential means stay distinct). `dump
+/// --synth-keys` and `loadgen --keyspace` both derive from this one
+/// shape, so a loadgen against a `--synth-keys` EFDB hits real keys
 /// by construction.
 fn synth_keyspace_dict(keys: usize, metric: efd_telemetry::MetricId) -> EfdDictionary {
     let mut dict = EfdDictionary::new(efd_core::RoundingDepth::new(6));
@@ -2239,228 +2099,6 @@ fn synth_keyspace_payloads(metric_name: &str, keys: usize, count: usize) -> Vec<
             s
         })
         .collect()
-}
-
-/// `efd bench-snapshot [--out BENCH_7.json]`: time the persistence,
-/// durability, and serving-cold-start hot paths and write a
-/// machine-readable snapshot (bench name, config, ns/op, throughput)
-/// for trend tracking.
-fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
-    use std::time::Instant;
-
-    let out = args.flag("out").unwrap_or("BENCH_7.json");
-    let keys: usize = args.flag_parsed("keys")?.unwrap_or(10_000);
-    let records: usize = args.flag_parsed("records")?.unwrap_or(2_000);
-    let reps: usize = args.flag_parsed("reps")?.unwrap_or(3).max(1);
-    let d = dataset_from(args)?;
-    let catalog = d.catalog();
-    let metric = headline(&d);
-    let metric_name = catalog.name(metric);
-
-    // The shared synthetic keyspace (see `synth_keyspace_dict`),
-    // mirroring the perf_persistence bench shape.
-    let depth = efd_core::RoundingDepth::new(6);
-    let dict = synth_keyspace_dict(keys, metric);
-
-    let best_of = |mut f: Box<dyn FnMut() -> usize>| -> (f64, usize) {
-        let mut best = f64::INFINITY;
-        let mut ops = 0;
-        for _ in 0..reps {
-            let t = Instant::now();
-            ops = f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        (best, ops)
-    };
-    let mut legs: Vec<(String, &str, f64, usize)> = Vec::new();
-
-    // Leg 1/2: full-dump persistence (JSON parse vs EFDB zero-parse load).
-    let json = serialize::to_json(&dict, catalog);
-    let (secs, _) = best_of(Box::new({
-        let json = json.clone();
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(serialize::from_json(&json, &catalog).expect("own dump parses"));
-            1
-        }
-    }));
-    legs.push(("persistence_json_parse".into(), "dicts", secs, 1));
-    let efdb = binfmt::write_dictionary(&dict, catalog);
-    let (secs, _) = best_of(Box::new({
-        let efdb = efdb.clone();
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(binfmt::read_dictionary(&efdb, &catalog).expect("own efdb reads"));
-            1
-        }
-    }));
-    legs.push(("persistence_efdb_load".into(), "dicts", secs, 1));
-
-    // Serving cold start over the same canonical bytes: the owned path
-    // (decode every section, rebuild shard maps) vs the zero-copy path
-    // (validate once, serve in place). The gap is the point of
-    // `EfdbSnapshot` — it must not scale with key count.
-    let (secs, _) = best_of(Box::new({
-        let efdb = efdb.clone();
-        let catalog = catalog.clone();
-        move || {
-            let parsed = binfmt::read(&efdb).expect("own efdb reads");
-            std::hint::black_box(
-                efd_serve::Snapshot::from_efdb(&parsed, &catalog, 8)
-                    .expect("own efdb freezes")
-                    .len(),
-            );
-            1
-        }
-    }));
-    legs.push(("snapshot_coldstart".into(), "loads", secs, 1));
-    let arc_bytes: std::sync::Arc<[u8]> = efdb.clone().into();
-    let (secs, _) = best_of(Box::new({
-        let arc_bytes = std::sync::Arc::clone(&arc_bytes);
-        let catalog = catalog.clone();
-        move || {
-            std::hint::black_box(
-                efd_serve::EfdbSnapshot::load(std::sync::Arc::clone(&arc_bytes), &catalog)
-                    .expect("own efdb checks")
-                    .len(),
-            );
-            1
-        }
-    }));
-    legs.push(("efdb_coldstart".into(), "loads", secs, 1));
-
-    // Hot single-query path over both stores: 8-point queries, ~10%
-    // misses, one reused scratch — the acceptance gate is the zero-copy
-    // store staying within striking distance of the owned one.
-    let owned = std::sync::Arc::new(
-        efd_serve::Snapshot::from_efdb(&binfmt::read(&efdb).expect("own efdb reads"), catalog, 8)
-            .map_err(|e| e.to_string())?,
-    );
-    let zero_copy = std::sync::Arc::new(
-        efd_serve::EfdbSnapshot::load(std::sync::Arc::clone(&arc_bytes), catalog)
-            .map_err(|e| e.to_string())?,
-    );
-    let hot_queries: std::sync::Arc<Vec<efd_core::Query>> = {
-        let mut rng = efd_util::SplitMix64::new(0xEFD7);
-        std::sync::Arc::new(
-            (0..4096)
-                .map(|_| efd_core::Query {
-                    points: (0..8)
-                        .map(|_| {
-                            let i = (rng.next_u64() as usize) % (keys + keys / 10);
-                            efd_core::observation::ObsPoint {
-                                metric,
-                                node: efd_telemetry::NodeId((i % 64) as u16),
-                                interval: efd_telemetry::Interval::PAPER_DEFAULT,
-                                mean: 100_000.0 + i as f64,
-                            }
-                        })
-                        .collect(),
-                })
-                .collect(),
-        )
-    };
-    {
-        // Answers must agree before the numbers mean anything.
-        let mut scratch = efd_core::engine::VoteScratch::default();
-        for q in hot_queries.iter().take(128) {
-            let a = owned.recognize_into(q, &mut scratch);
-            let b = zero_copy.recognize_into(q, &mut scratch);
-            if a != b {
-                return Err("owned and zero-copy stores disagree on the bench query mix".into());
-            }
-        }
-    }
-    for (name, engine) in [
-        ("owned_hot_query", std::sync::Arc::clone(&owned) as std::sync::Arc<dyn Recognize + Send + Sync>),
-        ("zero_copy_hot_query", zero_copy as std::sync::Arc<dyn Recognize + Send + Sync>),
-    ] {
-        let (secs, ops) = best_of(Box::new({
-            let qs = std::sync::Arc::clone(&hot_queries);
-            move || {
-                let mut scratch = efd_core::engine::VoteScratch::default();
-                let mut matched = 0usize;
-                for q in qs.iter() {
-                    matched += engine.recognize_into(q, &mut scratch).matched_points;
-                }
-                std::hint::black_box(matched);
-                qs.len()
-            }
-        }));
-        legs.push((name.into(), "queries", secs, ops));
-    }
-    drop(owned);
-
-    // Leg: WAL append throughput and cold-start recovery replay.
-    let stream: Vec<efd_core::wal::WalRecord> = (0..records)
-        .map(|i| {
-            efd_core::wal::WalRecord::Learn(efd_core::wal::LearnRecord {
-                app: format!("app{:03}", i % 50),
-                input: "X".into(),
-                points: vec![efd_core::wal::WalPoint {
-                    metric: metric_name.to_string(),
-                    node: (i % 64) as u16,
-                    start: 60,
-                    end: 120,
-                    mean_bits: (200_000.0 + i as f64).to_bits(),
-                }],
-            })
-        })
-        .collect();
-    let wal_dir = std::env::temp_dir().join(format!("efd-bench-wal-{}", std::process::id()));
-    let mut best_append = f64::INFINITY;
-    for _ in 0..reps {
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let (mut wal, _) = efd_core::wal::WalDir::open(
-            &wal_dir,
-            depth,
-            catalog,
-            efd_core::wal::WalOptions {
-                sync: efd_core::SyncPolicy::EveryN(32),
-                ..Default::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        let t = Instant::now();
-        for rec in &stream {
-            wal.append(rec).map_err(|e| e.to_string())?;
-        }
-        wal.sync().map_err(|e| e.to_string())?;
-        best_append = best_append.min(t.elapsed().as_secs_f64());
-    }
-    legs.push(("wal_append".into(), "records", best_append, records));
-    let (secs, _) = best_of(Box::new({
-        let wal_dir = wal_dir.clone();
-        let catalog = catalog.clone();
-        move || {
-            let rec = efd_core::wal::recover(&wal_dir, &catalog).expect("bench wal recovers");
-            std::hint::black_box(rec.dictionary.len());
-            rec.replayed
-        }
-    }));
-    legs.push(("recovery_replay".into(), "records", secs, records));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let mut body = String::new();
-    body.push_str("{\n  \"bench\": \"bench-snapshot\",\n");
-    body.push_str(&format!(
-        "  \"config\": {{ \"keys\": {keys}, \"records\": {records}, \"reps\": {reps}, \"sync\": \"batch(32)\" }},\n"
-    ));
-    body.push_str("  \"legs\": [\n");
-    for (i, (name, unit, secs, ops)) in legs.iter().enumerate() {
-        let ns_per_op = secs * 1e9 / (*ops as f64).max(1.0);
-        let per_s = *ops as f64 / secs.max(1e-12);
-        body.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"ops\": {ops}, \"unit\": \"{unit}\", \
-             \"ns_per_op\": {ns_per_op:.1}, \"ops_per_s\": {per_s:.1} }}{}\n",
-            if i + 1 < legs.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(out, &body).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out}:");
-    print!("{body}");
-    Ok(())
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {
@@ -2530,9 +2168,6 @@ COMMANDS
   compact                merge a WAL directory into one canonical EFDB segment:
                          --wal <dir> [--out <path>]
   wal-verify             audit a WAL directory offline: --wal <dir> [--strict true]
-  bench-snapshot         time persistence + serving cold-start + WAL hot paths, write
-                         machine-readable results: [--out BENCH_7.json] [--keys N]
-                         [--records N] [--reps N]
   report                 write EXPERIMENTS.md content: [--out <path>]
   help                   this text
 
@@ -2584,7 +2219,6 @@ fn main() -> ExitCode {
         "ctl" => cmd_ctl(&args),
         "compact" => cmd_compact(&args),
         "wal-verify" => cmd_wal_verify(&args),
-        "bench-snapshot" => cmd_bench_snapshot(&args),
         "report" => cmd_report(&args),
         "help" | "--help" | "-h" => {
             print!("{HELP}");

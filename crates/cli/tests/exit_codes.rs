@@ -356,6 +356,23 @@ fn serve_manifest_conflicts_with_load_and_wal() {
 }
 
 #[test]
+fn serve_backend_conflicts_with_manifest_and_wal() {
+    // --backend selects how a --load file is served; a manifest names
+    // its own stage backends and a WAL serves its live dictionary, so
+    // the flag would be silently ignored there.
+    assert_clean_error(
+        &["serve", "--manifest", "/tmp/m.json", "--backend", "efdb"],
+        "--backend",
+    );
+    assert_clean_error(
+        &[
+            "serve", "--listen", "127.0.0.1:0", "--wal", "/tmp/w", "--backend", "sharded",
+        ],
+        "--backend",
+    );
+}
+
+#[test]
 fn serve_missing_manifest_file_is_a_clean_error() {
     assert_clean_error(
         &["serve", "--manifest", "/nonexistent/stack.json"],

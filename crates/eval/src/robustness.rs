@@ -6,12 +6,14 @@
 //! WAL-recovered) and the ml family (forest / kNN / Gaussian NB) — and
 //! scores each cell with [`crate::scoring`]'s abstention-quality metrics.
 //!
-//! The plumbing is PR 5's engine API end to end: one concrete
+//! The plumbing is the engine API end to end: one concrete
 //! [`ScenarioBackend`] type wraps all nine [`BackendKind`]s behind
 //! [`Learn`]`+`[`Recognize`] (freeze-style backends buffer observations
 //! and build lazily on first recognition, the WAL backend additionally
 //! round-trips through close-and-recover), so a single
-//! [`EngineClassifier`] drives the full matrix. Dictionary-family cells
+//! [`EngineClassifier`] drives the full matrix. The four served
+//! dictionary forms are built by the serve registry ([`Backend`]), the
+//! same constructor the CLI and daemon use. Dictionary-family cells
 //! must produce identical verdict histograms — the conformance suite pins
 //! that on the masquerade scenario.
 //!
@@ -28,13 +30,10 @@ use std::sync::{Arc, OnceLock};
 
 use efd_core::engine::{Learn, Recognize, VoteScratch};
 use efd_core::maintenance::AgingDictionary;
-use efd_core::multi::ComboDictionary;
 use efd_core::wal::WalOptions;
-use efd_core::{
-    binfmt, EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth,
-};
+use efd_core::{EfdDictionary, LabeledObservation, ObsPoint, Query, Recognition, RoundingDepth};
 use efd_ml::taxonomist::TaxonomistConfig;
-use efd_serve::{ComboSnapshot, DurableDictionary, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
+use efd_serve::{Backend, DurableDictionary, OnlineSession, Snapshot, Source};
 use efd_telemetry::metric::MetricCatalog;
 use efd_telemetry::{Interval, MetricId, NodeId};
 use efd_workload::scenario::{split, ScenarioData};
@@ -48,14 +47,10 @@ use crate::scoring::{score, AbstentionReport, ScoredQuery};
 pub enum BackendKind {
     /// The single-threaded in-memory oracle ([`EfdDictionary`]).
     Dict,
-    /// Frozen immutable [`Snapshot`].
-    Snapshot,
-    /// Concurrent [`ShardedDictionary`].
-    Sharded,
-    /// Conjunctive multi-metric combo ([`ComboSnapshot`]).
-    Combo,
-    /// Zero-copy [`EfdbSnapshot`] served off canonical EFDB bytes.
-    Efdb,
+    /// A dictionary-family engine built by the serve registry
+    /// (`snapshot`, `sharded`, `combo`, `efdb`) over the learned
+    /// dictionary.
+    Served(Backend),
     /// WAL-backed [`DurableDictionary`], closed and *recovered* before
     /// serving — every cell also exercises the durability path.
     Wal,
@@ -71,10 +66,10 @@ impl BackendKind {
     /// Every backend, in canonical (report) order.
     pub const ALL: [BackendKind; 9] = [
         BackendKind::Dict,
-        BackendKind::Snapshot,
-        BackendKind::Sharded,
-        BackendKind::Combo,
-        BackendKind::Efdb,
+        BackendKind::Served(Backend::Snapshot),
+        BackendKind::Served(Backend::Sharded),
+        BackendKind::Served(Backend::Combo),
+        BackendKind::Served(Backend::Efdb),
         BackendKind::Wal,
         BackendKind::Forest,
         BackendKind::Knn,
@@ -85,10 +80,7 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Dict => "dict",
-            BackendKind::Snapshot => "snapshot",
-            BackendKind::Sharded => "sharded",
-            BackendKind::Combo => "combo",
-            BackendKind::Efdb => "efdb",
+            BackendKind::Served(b) => b.name(),
             BackendKind::Wal => "wal",
             BackendKind::Forest => "forest",
             BackendKind::Knn => "knn",
@@ -158,7 +150,6 @@ impl Default for CellOptions {
 /// crash-restarted server would take.
 pub struct ScenarioBackend {
     kind: BackendKind,
-    metric: MetricId,
     opts: CellOptions,
     catalog: MetricCatalog,
     buffered: Vec<LabeledObservation>,
@@ -179,12 +170,11 @@ impl std::fmt::Debug for ScenarioBackend {
 static WAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl ScenarioBackend {
-    /// An empty backend of `kind`; `metric` is the combo backend's key
-    /// dimension, `catalog` resolves metric names for EFDB/WAL bytes.
-    pub fn new(kind: BackendKind, metric: MetricId, catalog: MetricCatalog, opts: CellOptions) -> Self {
+    /// An empty backend of `kind`; `catalog` resolves metric names for
+    /// EFDB/WAL bytes.
+    pub fn new(kind: BackendKind, catalog: MetricCatalog, opts: CellOptions) -> Self {
         Self {
             kind,
-            metric,
             opts,
             catalog,
             buffered: Vec::new(),
@@ -210,25 +200,15 @@ impl ScenarioBackend {
     fn build_backend(&self) -> Box<dyn Recognize + Send + Sync> {
         match self.kind {
             BackendKind::Dict => Box::new(self.learned_dict()),
-            BackendKind::Snapshot => {
-                Box::new(Snapshot::freeze(&self.learned_dict(), self.opts.shards))
-            }
-            BackendKind::Sharded => {
-                let s = ShardedDictionary::new(self.depth(), self.opts.shards);
-                s.learn_all(&self.buffered);
-                Box::new(s)
-            }
-            BackendKind::Combo => {
-                let mut c = ComboDictionary::new(vec![self.metric], self.depth());
-                Learn::learn_all(&mut c, &self.buffered);
-                Box::new(ComboSnapshot::freeze(c))
-            }
-            BackendKind::Efdb => {
-                let bytes = binfmt::write_dictionary(&self.learned_dict(), &self.catalog);
-                Box::new(
-                    EfdbSnapshot::load(bytes, &self.catalog)
-                        .expect("freshly written EFDB bytes must load"),
-                )
+            BackendKind::Served(b) => {
+                let (engine, _keys) = b
+                    .build(
+                        Source::Dictionary(&self.learned_dict()),
+                        &self.catalog,
+                        self.opts.shards,
+                    )
+                    .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+                Box::new(engine)
             }
             BackendKind::Wal => {
                 let dir = std::env::temp_dir().join(format!(
@@ -336,7 +316,7 @@ pub fn fit_backend(
 ) -> EngineClassifier<ScenarioBackend, impl Fn() -> ScenarioBackend> {
     let catalog = dataset.catalog().clone();
     let mut clf = EngineClassifier::with_interval(backend.name(), metric, interval, move || {
-        ScenarioBackend::new(backend, metric, catalog.clone(), opts)
+        ScenarioBackend::new(backend, catalog.clone(), opts)
     });
     let (train_idx, _) = split(dataset.len());
     crate::classifier::ExecutionClassifier::fit(&mut clf, dataset, &train_idx);
@@ -489,7 +469,7 @@ mod tests {
     fn clean_baseline_recognizes_well_on_every_dictionary_backend() {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::MetricDropout, 0.0));
-        for kind in [BackendKind::Dict, BackendKind::Efdb, BackendKind::Wal] {
+        for kind in [BackendKind::Dict, BackendKind::Served(Backend::Efdb), BackendKind::Wal] {
             let clf = fit_backend(kind, &d, metric, Interval::PAPER_DEFAULT, CellOptions::default());
             let r = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
             assert!(
@@ -538,7 +518,8 @@ mod tests {
         let (d, metric, clean) = fixture();
         let data = build(&clean, &spec(ScenarioKind::ConceptDrift, 1.0));
         let opts = CellOptions::default();
-        let clf = fit_backend(BackendKind::Snapshot, &d, metric, Interval::PAPER_DEFAULT, opts);
+        let snapshot = BackendKind::Served(Backend::Snapshot);
+        let clf = fit_backend(snapshot, &d, metric, Interval::PAPER_DEFAULT, opts);
         let static_arm = run_cell(&clf, &data, metric, Interval::PAPER_DEFAULT);
         let relearn_arm = drift_relearn(&data, metric, Interval::PAPER_DEFAULT, &opts);
         assert!(

@@ -10,10 +10,9 @@
 use std::sync::Arc;
 
 use efd_core::engine::Recognize;
-use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
 use efd_eval::MlBackend;
-use efd_serve::{ComboSnapshot, Snapshot, StackedRecognizer, StackedStage};
+use efd_serve::{Backend, Snapshot, Source, StackedRecognizer, StackedStage};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{Interval, MetricId};
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
@@ -41,16 +40,20 @@ fn stack_over(train: &[efd_workload::scenario::ScenarioRun]) -> (EfdDictionary, 
         dict.learn(&o);
         efd_core::engine::Learn::learn(&mut knn, &o);
     }
-    let combo = ComboDictionary::from_single_metric(&dict).expect("non-empty dict");
+    let served = |b: Backend| {
+        b.build(Source::Dictionary(&dict), &small_catalog(), 4)
+            .expect("non-empty single-metric dict")
+            .0
+    };
     let stack = StackedRecognizer::new(vec![
         StackedStage {
             name: "exact".into(),
-            engine: Arc::new(Snapshot::freeze(&dict, 4)),
+            engine: served(Backend::Snapshot),
             min_confidence: EXACT_BAR,
         },
         StackedStage {
             name: "combo".into(),
-            engine: Arc::new(ComboSnapshot::freeze(combo)),
+            engine: served(Backend::Combo),
             min_confidence: 0.5,
         },
         StackedStage {

@@ -40,6 +40,11 @@
 //! * [`StackedRecognizer`] — the served form of a `recognizer.v1`
 //!   manifest (`efd-catalog`): backends stacked in precedence order,
 //!   first confident verdict wins, primary abstention preserved.
+//! * [`registry`] — the one list of served dictionary-family backends:
+//!   [`Backend`] names `snapshot | sharded | combo | efdb`, and
+//!   [`Backend::build`] turns EFDB bytes, a JSON dump or an in-memory
+//!   dictionary into any of them. The CLI, the daemon's reloads, manifest
+//!   stages and the evaluator all build engines through it.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
 //!   over a fixed worker pool, with atomic engine hot-swap, a same-port
@@ -87,6 +92,7 @@ pub mod efdb;
 pub mod keystore;
 pub mod net;
 pub mod online;
+pub mod registry;
 pub mod shard;
 pub mod snapshot;
 pub mod stacked;
@@ -97,6 +103,7 @@ pub use durable::DurableDictionary;
 pub use efdb::EfdbSnapshot;
 pub use keystore::KeyStore;
 pub use online::OnlineSession;
+pub use registry::{Backend, Source};
 pub use shard::ShardedDictionary;
 pub use snapshot::Snapshot;
 pub use stacked::{StackedRecognizer, StackedStage};

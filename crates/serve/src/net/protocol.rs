@@ -97,7 +97,7 @@ impl std::fmt::Display for FrameError {
 /// One `read` fills the buffer with as many bytes as the peer has sent,
 /// and every complete frame in it is then handed out without further
 /// I/O — a pipelined batch costs one syscall, not two per frame.
-/// [`FrameReader::frame_ready`] tells a server whether the next
+/// `FrameReader::frame_ready` tells the server whether the next
 /// [`FrameReader::read_frame`] could block, which is when queued replies
 /// must be flushed.
 ///

@@ -58,7 +58,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use efd_core::engine::{Recognize, VoteScratch};
-use efd_core::{binfmt, serialize, LabeledObservation, Query};
+use efd_core::{LabeledObservation, Query};
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId};
 
 use super::drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot};
@@ -66,7 +66,7 @@ use super::metrics::DaemonMetrics;
 use super::protocol::{
     render_answer, verdict_label, write_frame, FrameError, FrameReader, Request, MAX_FRAME,
 };
-use crate::{ComboSnapshot, DurableDictionary, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
+use crate::{Backend, DurableDictionary, OnlineSession, Source};
 
 /// Worker read-timeout tick: the granularity of idle accounting and
 /// shutdown observation.
@@ -77,42 +77,6 @@ const ACCEPT_TICK: Duration = Duration::from_millis(2);
 const MAX_STREAM_NODES: u16 = 4096;
 /// Cap on a buffered HTTP request head.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
-
-/// Which engine backend the daemon serves (and reloads on `SWAP`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Immutable published [`Snapshot`] (the default).
-    Snapshot,
-    /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
-    Sharded,
-    /// Conjunctive [`ComboSnapshot`].
-    Combo,
-    /// Zero-copy [`EfdbSnapshot`] straight over EFDB bytes.
-    Efdb,
-}
-
-impl BackendKind {
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "snapshot" => Some(BackendKind::Snapshot),
-            "sharded" => Some(BackendKind::Sharded),
-            "combo" => Some(BackendKind::Combo),
-            "efdb" => Some(BackendKind::Efdb),
-            _ => None,
-        }
-    }
-
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Snapshot => "snapshot",
-            BackendKind::Sharded => "sharded",
-            BackendKind::Combo => "combo",
-            BackendKind::Efdb => "efdb",
-        }
-    }
-}
 
 /// A publishable engine: the recognizer every request answers through,
 /// plus the optional durable learner (`--wal` mode) that accepts
@@ -153,6 +117,22 @@ impl Engine {
             version: None,
             baseline: None,
         }
+    }
+
+    /// Load a dictionary file as a registry `backend` — how the daemon
+    /// starts, and how `SWAP`/SIGHUP rebuild it.
+    pub fn load(
+        path: &Path,
+        backend: Backend,
+        catalog: &MetricCatalog,
+        shards: usize,
+    ) -> Result<Self, String> {
+        let shown = path.display();
+        let raw = std::fs::read(path).map_err(|e| format!("{shown}: {e}"))?;
+        let (recognizer, keys) = backend
+            .build(Source::Bytes(raw), catalog, shards)
+            .map_err(|e| format!("{shown}: {e}"))?;
+        Ok(Engine::fixed(recognizer, keys, backend.name()))
     }
 
     /// Tag the engine with the catalog version it serves.
@@ -208,68 +188,10 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Load a dictionary file into an engine of the requested backend —
-/// the same loader the `SWAP` command and SIGHUP reload use, so a
-/// republished engine is built exactly like the original.
-pub fn load_engine(
-    path: &Path,
-    backend: BackendKind,
-    catalog: &MetricCatalog,
-    shards: usize,
-) -> Result<Engine, String> {
-    let shown = path.display();
-    let raw = std::fs::read(path).map_err(|e| format!("{shown}: {e}"))?;
-    let is_efdb = raw.starts_with(&binfmt::MAGIC);
-    if backend == BackendKind::Efdb {
-        if !is_efdb {
-            return Err(format!(
-                "{shown}: --backend efdb serves EFDB bytes in place; --load a .efdb file"
-            ));
-        }
-        let snap = EfdbSnapshot::load(raw, catalog).map_err(|e| format!("{shown}: {e}"))?;
-        let keys = snap.len();
-        return Ok(Engine::fixed(Arc::new(snap), keys, "efdb"));
-    }
-    // Snapshot fast path: EFDB sections build the snapshot directly.
-    if backend == BackendKind::Snapshot && is_efdb {
-        let efdb = binfmt::read(&raw).map_err(|e| format!("{shown}: {e}"))?;
-        let snap =
-            Snapshot::from_efdb(&efdb, catalog, shards).map_err(|e| format!("{shown}: {e}"))?;
-        let keys = snap.len();
-        return Ok(Engine::fixed(Arc::new(snap), keys, "snapshot"));
-    }
-    let dict = if is_efdb {
-        binfmt::read_dictionary(&raw, catalog).map_err(|e| format!("{shown}: {e}"))?
-    } else {
-        let text = std::str::from_utf8(&raw).map_err(|e| format!("{shown}: {e}"))?;
-        serialize::from_json(text, catalog).map_err(|e| format!("{shown}: {e}"))?
-    };
-    let keys = dict.len();
-    Ok(match backend {
-        BackendKind::Snapshot => {
-            Engine::fixed(Arc::new(Snapshot::freeze(&dict, shards)), keys, "snapshot")
-        }
-        BackendKind::Sharded => Engine::fixed(
-            Arc::new(ShardedDictionary::from_parts(dict.to_parts(), shards)),
-            keys,
-            "sharded",
-        ),
-        BackendKind::Combo => {
-            let combo = efd_core::multi::ComboDictionary::from_single_metric(&dict)
-                .ok_or_else(|| {
-                    format!("{shown}: --backend combo needs a non-empty single-metric dictionary")
-                })?;
-            let keys = combo.len();
-            Engine::fixed(Arc::new(ComboSnapshot::freeze(combo)), keys, "combo")
-        }
-        BackendKind::Efdb => unreachable!("handled above"),
-    })
-}
-
 /// A pluggable engine loader: how `SWAP path` / SIGHUP rebuild an
 /// engine from a path. Manifest serving installs one that treats the
 /// path as a `recognizer.v1` manifest; without one, paths load through
-/// [`load_engine`].
+/// the registry as [`ServerConfig::backend`].
 pub type EngineLoader = Arc<dyn Fn(&Path) -> Result<Engine, String> + Send + Sync>;
 
 /// Daemon configuration.
@@ -281,8 +203,8 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Shard fan-out for snapshots built on reload.
     pub shards: usize,
-    /// Backend built by `SWAP`/SIGHUP reloads.
-    pub backend: BackendKind,
+    /// Registry backend built by `SWAP`/SIGHUP reloads.
+    pub backend: Backend,
     /// Metric-name resolution for requests.
     pub catalog: MetricCatalog,
     /// Path reloaded by SIGHUP and a bare `SWAP` (normally the daemon's
@@ -291,7 +213,7 @@ pub struct ServerConfig {
     /// Drift-monitor tuning (window, warm-up floor, alarm margin).
     pub drift: DriftConfig,
     /// Custom engine loader for reloads (manifest mode); `None` loads
-    /// dictionary files via [`load_engine`].
+    /// dictionary files through the registry.
     pub loader: Option<EngineLoader>,
 }
 
@@ -317,7 +239,7 @@ impl ServerConfig {
             workers: 4,
             idle_timeout: Duration::from_secs(30),
             shards: 8,
-            backend: BackendKind::Snapshot,
+            backend: Backend::Snapshot,
             catalog,
             reload_path: None,
             drift: DriftConfig::default(),
@@ -366,11 +288,11 @@ impl Shared {
     }
 
     /// Build an engine from a path the way this daemon was configured
-    /// to: through the custom loader (manifest mode) or [`load_engine`].
+    /// to: through the custom loader (manifest mode) or [`Engine::load`].
     fn load(&self, path: &Path) -> Result<Engine, String> {
         match &self.cfg.loader {
             Some(loader) => loader(path),
-            None => load_engine(path, self.cfg.backend, &self.cfg.catalog, self.cfg.shards),
+            None => Engine::load(path, self.cfg.backend, &self.cfg.catalog, self.cfg.shards),
         }
     }
 

@@ -7,14 +7,12 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_serve::net::protocol::{write_frame, FrameError, FrameReader};
 use efd_serve::net::{Engine, Server, ServerConfig};
-use efd_serve::{ComboSnapshot, EfdbSnapshot, ShardedDictionary, Snapshot};
+use efd_serve::{Backend, Source};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId};
 
@@ -44,6 +42,32 @@ pub fn dict_with(apps: &[(&str, f64)]) -> EfdDictionary {
     d
 }
 
+/// The harness corpus: distinct apps, one deliberate ambiguous pair
+/// (`aa`/`bb` at the same level).
+pub fn corpus() -> Vec<(&'static str, f64)> {
+    vec![
+        ("ft", 6000.0),
+        ("cg", 8110.0),
+        ("mg", 3000.0),
+        ("aa", 7500.0),
+        ("bb", 7500.0),
+    ]
+}
+
+/// A query mix hitting every verdict kind: exact levels, a level inside
+/// the rounding bucket, the ambiguous pair, a miss, and a split vote.
+pub fn query_mix() -> Vec<[f64; 2]> {
+    vec![
+        [6000.0, 6000.0],
+        [6010.0, 6000.0],
+        [8110.0, 8110.0],
+        [3000.0, 3000.0],
+        [7500.0, 7500.0],
+        [1234.5, 999.0],
+        [6000.0, 8110.0],
+    ]
+}
+
 /// A two-node query over [`W`] on the harness metric.
 pub fn query(means: &[f64; 2]) -> Query {
     Query::from_node_means(M, W, means)
@@ -54,32 +78,23 @@ pub fn recognize_line(means: &[f64; 2]) -> String {
     format!("RECOGNIZE {METRIC} {} {} {} {}", W.start, W.end, means[0], means[1])
 }
 
-/// One engine per backend kind, all built from the same dictionary, so
-/// a test can assert the identical contract across every serving form.
+/// One engine per registry backend, all built from the same dictionary,
+/// so a test can assert the identical contract across every serving form.
 pub fn engines_for(dict: &EfdDictionary) -> Vec<Engine> {
-    let cat = catalog();
-    let keys = dict.len();
-    let efdb = binfmt::write_dictionary(dict, &cat);
-    let combo = ComboDictionary::from_single_metric(dict).expect("non-empty single-metric dict");
-    vec![
-        Engine::fixed(Arc::new(Snapshot::freeze(dict, 4)), keys, "snapshot"),
-        Engine::fixed(
-            Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 4)),
-            keys,
-            "sharded",
-        ),
-        Engine::fixed(Arc::new(ComboSnapshot::freeze(combo)), keys, "combo"),
-        Engine::fixed(
-            Arc::new(EfdbSnapshot::load(efdb, &cat).expect("round-tripped EFDB bytes")),
-            keys,
-            "efdb",
-        ),
-    ]
+    Backend::ALL.into_iter().map(|b| engine(b, dict)).collect()
+}
+
+/// `backend` built by the registry over `dict`.
+pub fn engine(backend: Backend, dict: &EfdDictionary) -> Engine {
+    let (recognizer, keys) = backend
+        .build(Source::Dictionary(dict), &catalog(), 4)
+        .expect("harness dictionaries are non-empty and single-metric");
+    Engine::fixed(recognizer, keys, backend.name())
 }
 
 /// Snapshot engine shorthand for tests that only need one backend.
 pub fn snapshot_engine(dict: &EfdDictionary) -> Engine {
-    Engine::fixed(Arc::new(Snapshot::freeze(dict, 4)), dict.len(), "snapshot")
+    engine(Backend::Snapshot, dict)
 }
 
 /// Start a daemon on an ephemeral port with harness defaults; `tweak`

@@ -15,34 +15,8 @@ use common::*;
 use efd_core::wal::WalOptions;
 use efd_core::RoundingDepth;
 use efd_serve::net::protocol::render_answer;
-use efd_serve::net::load_engine;
-use efd_serve::DurableDictionary;
-
-/// The harness corpus: distinct apps, one deliberate ambiguous pair
-/// (`aa`/`bb` at the same level).
-fn corpus() -> Vec<(&'static str, f64)> {
-    vec![
-        ("ft", 6000.0),
-        ("cg", 8110.0),
-        ("mg", 3000.0),
-        ("aa", 7500.0),
-        ("bb", 7500.0),
-    ]
-}
-
-/// A query mix hitting every verdict kind: exact levels, a level inside
-/// the rounding bucket, the ambiguous pair, a miss, and a split vote.
-fn query_mix() -> Vec<[f64; 2]> {
-    vec![
-        [6000.0, 6000.0],
-        [6010.0, 6000.0],
-        [8110.0, 8110.0],
-        [3000.0, 3000.0],
-        [7500.0, 7500.0],
-        [1234.5, 999.0],
-        [6000.0, 8110.0],
-    ]
-}
+use efd_serve::net::Engine;
+use efd_serve::{Backend, DurableDictionary};
 
 #[test]
 fn concurrent_clients_match_the_single_threaded_oracle_on_every_backend() {
@@ -251,31 +225,41 @@ fn swap_command_and_hup_flag_republish_from_dictionary_files() {
     let path_a = write_efdb(&dir, "a.efdb", &dict_a);
     let path_b = write_efdb(&dir, "b.efdb", &dict_b);
 
-    let engine = load_engine(&path_a, efd_serve::net::BackendKind::Snapshot, &catalog(), 4)
-        .expect("load initial engine");
-    let path_a_cfg = path_a.clone();
-    let server = start_server(engine, move |cfg| cfg.reload_path = Some(path_a_cfg));
-    let mut client = Client::connect(server.local_addr());
-    let line = recognize_line(&[7000.0, 7000.0]);
+    // Every registry backend starts from, and reloads, the same files.
+    for backend in Backend::ALL {
+        let engine =
+            Engine::load(&path_a, backend, &catalog(), 4).expect("load initial engine");
+        let path_a_cfg = path_a.clone();
+        let server = start_server(engine, move |cfg| {
+            cfg.reload_path = Some(path_a_cfg);
+            cfg.backend = backend;
+        });
+        let mut client = Client::connect(server.local_addr());
+        let line = recognize_line(&[7000.0, 7000.0]);
 
-    assert_eq!(client.request(&line), "OK 1 0 2 unknown");
-    // Explicit-path SWAP republishes b.efdb as generation 2.
-    assert_eq!(
-        client.request(&format!("SWAP {}", path_b.display())),
-        format!("SWAPPED 2 {} -", dict_b.len())
-    );
-    assert_eq!(client.request(&line), "OK 2 2 2 recognized new");
-    // A failed swap is a structured error and keeps the generation.
-    let resp = client.request(&format!("SWAP {}", dir.join("missing.efdb").display()));
-    assert!(resp.starts_with("ERR swap-failed"), "got {resp:?}");
-    assert_eq!(server.generation(), 2);
-    // The SIGHUP flag reloads the configured path (back to dict A).
-    server.hup_flag().store(true, std::sync::atomic::Ordering::SeqCst);
-    wait_until("SIGHUP reload", || server.generation() == 3);
-    assert_eq!(client.request(&line), "OK 3 0 2 unknown");
+        assert_eq!(client.request(&line), "OK 1 0 2 unknown", "{backend:?}");
+        // Explicit-path SWAP republishes b.efdb as generation 2.
+        assert_eq!(
+            client.request(&format!("SWAP {}", path_b.display())),
+            format!("SWAPPED 2 {} -", dict_b.len()),
+            "{backend:?}"
+        );
+        assert_eq!(client.request(&line), "OK 2 2 2 recognized new", "{backend:?}");
+        assert!(client
+            .request("STATS")
+            .contains(&format!("backend={} ", backend.name())));
+        // A failed swap is a structured error and keeps the generation.
+        let resp = client.request(&format!("SWAP {}", dir.join("missing.efdb").display()));
+        assert!(resp.starts_with("ERR swap-failed"), "{backend:?}: got {resp:?}");
+        assert_eq!(server.generation(), 2);
+        // The SIGHUP flag reloads the configured path (back to dict A).
+        server.hup_flag().store(true, std::sync::atomic::Ordering::SeqCst);
+        wait_until("SIGHUP reload", || server.generation() == 3);
+        assert_eq!(client.request(&line), "OK 3 0 2 unknown", "{backend:?}");
 
-    server.shutdown();
-    server.join();
+        server.shutdown();
+        server.join();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

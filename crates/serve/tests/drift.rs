@@ -15,10 +15,9 @@ use std::sync::Arc;
 use common::*;
 use efd_catalog::{Manifest, StageBackend};
 use efd_core::engine::Recognize;
-use efd_core::multi::ComboDictionary;
 use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth, Verdict};
 use efd_serve::net::{DriftBaseline, DriftConfig, DriftState, Engine};
-use efd_serve::{ComboSnapshot, Snapshot, StackedRecognizer, StackedStage};
+use efd_serve::{Source, StackedRecognizer, StackedStage};
 use efd_telemetry::Interval;
 use efd_workload::scenario::{build, CleanRuns, ScenarioKind, ScenarioSpec};
 use efd_workload::{Dataset, DatasetSpec};
@@ -54,13 +53,12 @@ fn stack_for(dict: &EfdDictionary) -> StackedRecognizer {
         .stack
         .iter()
         .map(|s| {
-            let engine: Arc<dyn Recognize + Send + Sync> = match s.backend {
-                StageBackend::Exact => Arc::new(Snapshot::freeze(dict, 4)),
-                StageBackend::Combo => Arc::new(ComboSnapshot::freeze(
-                    ComboDictionary::from_single_metric(dict).expect("non-empty dict"),
-                )),
-                _ => unreachable!("manifest literal only stacks exact and combo"),
+            let StageBackend::Served(backend) = s.backend else {
+                unreachable!("manifest literal only stacks registry backends")
             };
+            let (engine, _keys) = backend
+                .build(Source::Dictionary(dict), &catalog(), 4)
+                .expect("non-empty single-metric dict");
             StackedStage {
                 name: s.backend.to_string(),
                 engine,

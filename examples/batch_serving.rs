@@ -2,14 +2,15 @@
 //! backend.
 //!
 //! ```sh
-//! cargo run --release --example batch_serving [snapshot|sharded|combo]
+//! cargo run --release --example batch_serving [snapshot|sharded|combo|efdb]
 //! ```
 //!
 //! The serving lifecycle on top of the paper's pipeline: train an EFD on
 //! the synthetic dataset, publish it as a runtime-selected
-//! `Box<dyn Recognize + Send + Sync>` (an immutable [`Snapshot`], a live
-//! [`ShardedDictionary`], or a conjunctive `ComboSnapshot` — the same
-//! loop serves all three), fan a 10 000-query stream over worker threads
+//! `Arc<dyn Recognize + Send + Sync>` built by the serve registry (an
+//! immutable [`Snapshot`], a live [`ShardedDictionary`], a conjunctive
+//! `ComboSnapshot` or a zero-copy `EfdbSnapshot` — the same loop serves
+//! all four), fan a 10 000-query stream over worker threads
 //! with the generic [`BatchRecognizer`], then learn a *new* application
 //! concurrently and re-publish — the paper's "learning new applications
 //! is as simple as adding new keys", done live.
@@ -18,6 +19,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use efd::prelude::*;
+use efd::serve::{Backend, Source};
 use efd_telemetry::catalog::small_catalog;
 use efd_util::SplitMix64;
 
@@ -40,24 +42,17 @@ fn main() {
         dict.app_names().len()
     );
 
-    // Publish behind the object-safe engine trait. This is the whole
-    // point of the API: the serving loop below never names a concrete
-    // backend type.
-    let snapshot = Arc::new(Snapshot::freeze(dict, 8));
-    let backend: Arc<dyn Recognize + Send + Sync> = match backend_kind.as_str() {
-        "snapshot" => Arc::clone(&snapshot) as _,
-        "sharded" => Arc::new(ShardedDictionary::from_parts(dict.to_parts(), 8)) as _,
-        "combo" => {
-            let combo = efd::core::multi::ComboDictionary::from_single_metric(dict)
-                .expect("trained dictionary is single-metric");
-            Arc::new(efd::serve::ComboSnapshot::freeze(combo)) as _
-        }
-        other => {
-            eprintln!("unknown backend {other:?} (snapshot|sharded|combo)");
-            std::process::exit(1);
-        }
-    };
-    println!("published: backend = {backend_kind}");
+    // Publish behind the object-safe engine trait, built by name through
+    // the registry. This is the whole point of the API: the serving loop
+    // below never names a concrete backend type.
+    let backend_kind = Backend::parse(&backend_kind).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let (backend, _keys) = backend_kind
+        .build(Source::Dictionary(dict), dataset.catalog(), 8)
+        .expect("trained dictionary is single-metric");
+    println!("published: backend = {}", backend_kind.name());
 
     // A 10k-query stream: the dataset's runs with small jitter.
     let mut rng = SplitMix64::new(7);
@@ -101,7 +96,7 @@ fn main() {
 
     // Live learning: thaw into a sharded dictionary, learn a brand-new
     // app from two threads, re-publish, swap it into the server.
-    let sharded = ShardedDictionary::from_parts(snapshot.to_dictionary().into_parts(), 8);
+    let sharded = ShardedDictionary::from_parts(dict.to_parts(), 8);
     let novel = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[123_456.0; 4]);
     std::thread::scope(|s| {
         for input in ["X", "Y"] {
