@@ -1138,7 +1138,6 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
     let backend = serve_backend(args)?;
     let mut cfg = net::ServerConfig::new(d.catalog().clone());
-    cfg.workers = args.flag_parsed::<usize>("workers")?.unwrap_or(4).max(1);
     cfg.idle_timeout =
         Duration::from_secs(args.flag_parsed::<u64>("idle-timeout")?.unwrap_or(30).max(1));
     cfg.shards = shards;
@@ -1220,12 +1219,12 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
         engine.kind, engine.keys
     );
 
-    let workers = cfg.workers;
     let server = net::Server::start(addr, cfg, engine)?;
     install_sighup(server.hup_flag());
     println!(
-        "listening:  {} — {workers} workers; GET /metrics and /healthz on the same port",
-        server.local_addr()
+        "listening:  {} — up to {} connections; GET /metrics and /healthz on the same port",
+        server.local_addr(),
+        net::MAX_CONNS
     );
     println!(
         "control:    efd ctl <ping|stats|status|swap|shutdown|metrics> --addr {}",
@@ -2146,8 +2145,8 @@ COMMANDS
                          or durable: --wal <dir> [--learn N] [--wal-sync always|batch|none|<n>]
                          [--depth D] — write-ahead logged learning, recovery on restart
                          or daemon: --listen <addr> (e.g. 127.0.0.1:7070) — TCP frame
-                         protocol + GET /metrics on one port; [--workers N]
-                         [--idle-timeout SECS]; hot reload on SIGHUP or `efd ctl swap`
+                         protocol + GET /metrics on one port; [--idle-timeout SECS];
+                         hot reload on SIGHUP or `efd ctl swap`
                          or stacked: --manifest <stack.json> — recognizer.v1 stack
                          (exact -> combo -> ml fallback, first confident verdict
                          wins); works batch or with --listen (hot-swappable)

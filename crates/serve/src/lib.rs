@@ -47,8 +47,9 @@
 //!   stages and the evaluator all build engines through it.
 //! * [`net`] — the **network** form: a TCP recognition daemon
 //!   (`efd serve --listen`) speaking a length-prefixed line protocol
-//!   over a fixed worker pool, with atomic engine hot-swap, a same-port
-//!   Prometheus `/metrics` endpoint, and a pipelined load generator.
+//!   on one thread per connection, with atomic engine hot-swap, a
+//!   same-port Prometheus `/metrics` endpoint, and a pipelined load
+//!   generator.
 //!
 //! ## The engine API
 //!

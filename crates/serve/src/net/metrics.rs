@@ -10,8 +10,7 @@
 //! * `efd_request_duration_seconds` — end-to-end request latency.
 //! * `efd_stream_time_to_first_verdict_seconds` — stream open → first
 //!   verdict.
-//! * `efd_queue_depth` — accepted connections awaiting a worker.
-//! * `efd_active_connections` — connections currently on a worker.
+//! * `efd_active_connections` — connection threads currently serving.
 //! * `efd_connections_total` — connections accepted since start.
 //! * `efd_protocol_errors_total{kind}` — frame/grammar violations.
 //! * `efd_snapshot_swaps_total` / `efd_snapshot_generation` — hot-swap
@@ -33,7 +32,7 @@ use super::protocol::{Command, COMMANDS};
 /// Latency buckets for `efd_request_duration_seconds`: 5 µs … 1 s,
 /// roughly ×2–×2.5 steps — fine enough at the bottom to resolve a
 /// single-digit-µs PING or PUSH from the ~10 µs dictionary hit, wide
-/// enough at the top to catch a stalled worker.
+/// enough at the top to catch a stalled connection thread.
 pub const DURATION_BUCKETS: [f64; 14] = [
     5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1.0,
 ];
@@ -45,7 +44,7 @@ pub const DURATION_BUCKETS: [f64; 14] = [
 pub const TTFV_BUCKETS: [f64; 9] = [0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 150.0];
 
 /// Protocol-error kinds, in registration order (`kind` label values).
-pub const ERROR_KINDS: [&str; 8] = [
+pub const ERROR_KINDS: [&str; 9] = [
     "torn",
     "oversized",
     "empty",
@@ -54,6 +53,7 @@ pub const ERROR_KINDS: [&str; 8] = [
     "bad-state",
     "read-only",
     "idle-timeout",
+    "busy",
 ];
 
 /// Verdict label values, in registration order.
@@ -70,9 +70,8 @@ pub struct DaemonMetrics {
     pub request_duration: Arc<Histogram>,
     /// Stream open → first verdict latency histogram.
     pub time_to_first_verdict: Arc<Histogram>,
-    /// Connections accepted but not yet claimed by a worker.
-    pub queue_depth: Arc<Gauge>,
-    /// Connections currently being served.
+    /// Connection threads currently serving (at most
+    /// [`MAX_CONNS`](super::MAX_CONNS)).
     pub active_connections: Arc<Gauge>,
     /// Connections accepted since daemon start.
     pub connections_total: Arc<Counter>,
@@ -144,14 +143,9 @@ impl DaemonMetrics {
             &[],
             &TTFV_BUCKETS,
         );
-        let queue_depth = registry.gauge(
-            "efd_queue_depth",
-            "Accepted connections awaiting a worker.",
-            &[],
-        );
         let active_connections = registry.gauge(
             "efd_active_connections",
-            "Connections currently being served.",
+            "Connection threads currently serving.",
             &[],
         );
         let connections_total = registry.counter(
@@ -211,7 +205,6 @@ impl DaemonMetrics {
             errors,
             request_duration,
             time_to_first_verdict,
-            queue_depth,
             active_connections,
             connections_total,
             swaps_total,
@@ -308,7 +301,7 @@ mod tests {
         m.count_request(Command::Ping);
         m.count_verdict("recognized");
         m.count_error("torn");
-        m.queue_depth.set(2);
+        m.active_connections.set(2);
         m.request_duration.observe(0.0001);
         assert_eq!(m.requests_total(), 3);
         let text = m.render();
@@ -317,7 +310,7 @@ mod tests {
             "efd_requests_total{command=\"ping\"} 1",
             "efd_verdicts_total{verdict=\"recognized\"} 1",
             "efd_protocol_errors_total{kind=\"torn\"} 1",
-            "efd_queue_depth 2",
+            "efd_active_connections 2",
             "efd_request_duration_seconds_count 1",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

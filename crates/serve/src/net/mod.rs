@@ -2,9 +2,10 @@
 //!
 //! * [`protocol`] — length-prefixed frame codec and the line grammar
 //!   (`RECOGNIZE`, `STREAM`/`PUSH`/`FINISH`, `LEARN`, `SWAP`, ...).
-//! * [`server`] — the daemon: acceptor + fixed worker pool, hot
-//!   snapshot swap by `Arc` republication, idle-timeout discipline,
-//!   and a same-port HTTP `/metrics` + `/healthz` endpoint.
+//! * [`server`] — the daemon: an acceptor and one thread per
+//!   connection under a fixed admission cap, hot snapshot swap by `Arc`
+//!   republication, idle-timeout discipline, and a same-port HTTP
+//!   `/metrics` + `/healthz` endpoint.
 //! * [`metrics`] — the Prometheus instrument set the daemon exports.
 //! * [`drift`] — the sliding-window drift monitor judging live verdict
 //!   rates against the served catalog version's published baseline.
@@ -25,4 +26,4 @@ pub mod server;
 pub use drift::{DriftBaseline, DriftConfig, DriftMonitor, DriftSnapshot, DriftState};
 pub use metrics::DaemonMetrics;
 pub use protocol::{FrameError, FrameReader, Request, MAX_FRAME};
-pub use server::{Engine, ServeSummary, Server, ServerConfig};
+pub use server::{Engine, ServeSummary, Server, ServerConfig, MAX_CONNS};

@@ -102,7 +102,7 @@ impl std::fmt::Display for FrameError {
 /// must be flushed.
 ///
 /// Read timeouts are how the server implements idle accounting (each
-/// worker reads with a short timeout and tallies quiet ticks), so the
+/// connection thread reads with a short timeout and tallies quiet ticks), so the
 /// decoder survives a timeout at *any* byte boundary — including inside
 /// the 4-byte prefix — and continues exactly where it stopped: all
 /// partial state is the buffered tail.

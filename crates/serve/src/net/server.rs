@@ -1,16 +1,14 @@
-//! The recognition daemon: `TcpListener` + fixed worker pool over the
-//! engine API.
+//! The recognition daemon: `TcpListener` + one thread per connection
+//! over the engine API.
 //!
 //! ## Thread model
 //!
 //! One nonblocking acceptor thread polls `accept()` (and the SIGHUP
-//! reload flag) on a short tick and pushes accepted sockets onto a
-//! `Mutex<VecDeque<TcpStream>>` guarded by a condvar — the queue depth
-//! is exported as `efd_queue_depth`. A fixed pool of worker threads
-//! (each owning one reusable [`VoteScratch`]) pops connections and
-//! serves each one to completion: connections are long-lived and carry
-//! many requests, so per-connection (not per-request) dispatch keeps
-//! the hot path free of cross-thread handoff.
+//! reload flag) on a short tick and spawns an `efd-conn` thread, with
+//! its own [`VoteScratch`], per accepted socket: a connection's requests
+//! are answered in order by one thread, and no connection waits for
+//! another to close. Past [`MAX_CONNS`] the acceptor answers `ERR busy`
+//! and drops the socket (`efd_protocol_errors_total{kind="busy"}`).
 //!
 //! ## Hot swap
 //!
@@ -25,7 +23,7 @@
 //!
 //! ## Idle discipline
 //!
-//! Workers read with a 100 ms timeout and tally quiet ticks; a
+//! Connection threads read with a 100 ms timeout and tally quiet ticks; a
 //! connection idle past [`ServerConfig::idle_timeout`] — including one
 //! dribbling a frame a byte at a time (slow loris) — is dropped and
 //! counted in `efd_protocol_errors_total{kind="idle-timeout"}`.
@@ -35,7 +33,7 @@
 //! Each connection reads through one buffered [`FrameReader`]: a single
 //! `read` picks up every frame the peer has pipelined, and the replies
 //! queue in a `BufWriter` that is flushed only when no complete frame
-//! is left in the read buffer — just before the worker could block on
+//! is left in the read buffer — just before the thread could block on
 //! a read — and before the connection ends. A batch of 32 pipelined
 //! requests costs one read and one write, not 96 syscalls.
 //!
@@ -48,12 +46,11 @@
 //! and `/healthz` share the recognition port. A peer that closes after
 //! 1–3 bytes is a torn frame at once, not a wait for the idle timeout.
 
-use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -68,7 +65,7 @@ use super::protocol::{
 };
 use crate::{Backend, DurableDictionary, OnlineSession, Source};
 
-/// Worker read-timeout tick: the granularity of idle accounting and
+/// Connection read-timeout tick: the granularity of idle accounting and
 /// shutdown observation.
 const READ_TICK: Duration = Duration::from_millis(100);
 /// Acceptor poll tick (nonblocking `accept` + reload-flag check).
@@ -77,6 +74,11 @@ const ACCEPT_TICK: Duration = Duration::from_millis(2);
 const MAX_STREAM_NODES: u16 = 4096;
 /// Cap on a buffered HTTP request head.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
+/// Admission cap: connections served at once. Each costs one thread and
+/// one descriptor, so 256 stays well under the default 1024-descriptor
+/// soft limit, even in a test holding both ends of every socket in one
+/// process. No caller in this repository opens more than 8.
+pub const MAX_CONNS: usize = 256;
 
 /// A publishable engine: the recognizer every request answers through,
 /// plus the optional durable learner (`--wal` mode) that accepts
@@ -197,8 +199,6 @@ pub type EngineLoader = Arc<dyn Fn(&Path) -> Result<Engine, String> + Send + Syn
 /// Daemon configuration.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker-thread count (min 1).
-    pub workers: usize,
     /// Drop a connection after this much continuous quiet.
     pub idle_timeout: Duration,
     /// Shard fan-out for snapshots built on reload.
@@ -220,7 +220,6 @@ pub struct ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("workers", &self.workers)
             .field("idle_timeout", &self.idle_timeout)
             .field("shards", &self.shards)
             .field("backend", &self.backend)
@@ -232,11 +231,10 @@ impl std::fmt::Debug for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 4 workers, 30 s idle timeout, 8 shards, snapshot
-    /// backend, no reload path, default drift tuning.
+    /// Defaults: 30 s idle timeout, 8 shards, snapshot backend, no
+    /// reload path, default drift tuning.
     pub fn new(catalog: MetricCatalog) -> Self {
         ServerConfig {
-            workers: 4,
             idle_timeout: Duration::from_secs(30),
             shards: 8,
             backend: Backend::Snapshot,
@@ -261,8 +259,6 @@ struct Shared {
     drift: DriftMonitor,
     shutdown: AtomicBool,
     hup: Arc<AtomicBool>,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
 }
 
 impl Shared {
@@ -283,7 +279,6 @@ impl Shared {
         // rebaseline clears the window (and any standing alarm).
         self.metrics.set_version(version);
         self.drift.rebaseline(baseline);
-        self.metrics.observe_drift(&self.drift.snapshot());
         gen
     }
 
@@ -315,7 +310,13 @@ impl Shared {
 
     fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+    }
+
+    /// The Prometheus exposition. Its drift gauges are refreshed here,
+    /// from one monitor reading per scrape rather than per verdict.
+    fn metrics_text(&self) -> String {
+        self.metrics.observe_drift(&self.drift.snapshot());
+        self.metrics.render()
     }
 }
 
@@ -333,13 +334,12 @@ pub struct ServeSummary {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port), publish
-    /// the initial engine as generation 1, and start the acceptor and
-    /// worker threads.
+    /// the initial engine as generation 1, and start the acceptor.
     pub fn start(addr: &str, cfg: ServerConfig, engine: Engine) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local = listener.local_addr().map_err(|e| format!("{addr}: {e}"))?;
@@ -351,8 +351,6 @@ impl Server {
         metrics.set_version(engine.version.clone());
         let drift = DriftMonitor::new(cfg.drift);
         drift.rebaseline(engine.baseline);
-        metrics.observe_drift(&drift.snapshot());
-        let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             cfg,
             published: RwLock::new(Arc::new(Published { gen: 1, engine })),
@@ -360,30 +358,16 @@ impl Server {
             drift,
             shutdown: AtomicBool::new(false),
             hup: Arc::new(AtomicBool::new(false)),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
         });
-        let mut threads = Vec::with_capacity(workers + 1);
         let s = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("efd-accept".into())
-                .spawn(move || accept_loop(&s, listener))
-                .map_err(|e| format!("spawn acceptor: {e}"))?,
-        );
-        for i in 0..workers {
-            let s = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("efd-worker-{i}"))
-                    .spawn(move || worker_loop(&s))
-                    .map_err(|e| format!("spawn worker: {e}"))?,
-            );
-        }
+        let acceptor = thread::Builder::new()
+            .name("efd-accept".into())
+            .spawn(move || accept_loop(&s, listener))
+            .map_err(|e| format!("spawn acceptor: {e}"))?;
         Ok(Server {
             shared,
             addr: local,
-            threads,
+            acceptor,
         })
     }
 
@@ -405,7 +389,7 @@ impl Server {
 
     /// Render the Prometheus exposition (same text `/metrics` serves).
     pub fn metrics_text(&self) -> String {
-        self.shared.metrics.render()
+        self.shared.metrics_text()
     }
 
     /// Current published engine generation.
@@ -428,8 +412,8 @@ impl Server {
         self.shared.reload()
     }
 
-    /// Signal shutdown: stop accepting, let workers finish their
-    /// current connection, then exit. Idempotent.
+    /// Signal shutdown: stop accepting; every connection thread ends
+    /// within a read tick. Idempotent.
     pub fn shutdown(&self) {
         self.shared.stop();
     }
@@ -439,11 +423,9 @@ impl Server {
         !self.shared.stopping()
     }
 
-    /// Block until every daemon thread has exited.
+    /// Block until the acceptor and every connection thread have exited.
     pub fn join(self) -> ServeSummary {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.acceptor.join();
         ServeSummary {
             requests: self.shared.metrics.requests_total(),
             connections: self.shared.metrics.connections_total.get(),
@@ -451,7 +433,10 @@ impl Server {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: TcpListener) {
+/// Accept until shutdown, one `efd-conn` thread per admitted socket,
+/// then join those threads: [`Server::join`] waits for every connection.
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stopping() {
         if shared.hup.swap(false, Ordering::SeqCst) {
             match shared.reload() {
@@ -459,14 +444,26 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                 Err(e) => eprintln!("warning: reload failed: {e}"),
             }
         }
+        conns.extract_if(.., |h| h.is_finished()).for_each(reap);
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.metrics.connections_total.inc();
-                let mut q = shared.queue.lock().expect("queue lock");
-                q.push_back(stream);
-                shared.metrics.queue_depth.set(q.len() as i64);
-                drop(q);
-                shared.queue_cv.notify_one();
+                if shared.metrics.active_connections.get() >= MAX_CONNS as i64 {
+                    refuse(shared, stream);
+                    continue;
+                }
+                shared.metrics.active_connections.add(1);
+                let mut conn = Conn {
+                    shared: Arc::clone(shared),
+                    stream: Some(stream),
+                };
+                // A failed spawn drops `conn` unserved, which refuses it.
+                if let Ok(h) = thread::Builder::new().name("efd-conn".into()).spawn(move || {
+                    let stream = conn.stream.take().expect("a new connection holds its socket");
+                    let _ = frame_loop(&conn.shared, stream, &mut VoteScratch::default());
+                }) {
+                    conns.push(h);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
             // Transient accept errors (EMFILE, aborted handshake):
@@ -474,33 +471,37 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
             Err(_) => thread::sleep(ACCEPT_TICK),
         }
     }
-    shared.queue_cv.notify_all();
+    conns.into_iter().for_each(reap);
 }
 
-fn worker_loop(shared: &Shared) {
-    let mut scratch = VoteScratch::default();
-    loop {
-        let conn = {
-            let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    shared.metrics.queue_depth.set(q.len() as i64);
-                    break Some(s);
-                }
-                if shared.stopping() {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(q, READ_TICK)
-                    .expect("queue lock");
-                q = guard;
-            }
-        };
-        let Some(stream) = conn else { return };
-        shared.metrics.active_connections.add(1);
-        let _ = frame_loop(shared, stream, &mut scratch);
-        shared.metrics.active_connections.add(-1);
+/// Join a connection thread. A panic in one ends only its connection.
+fn reap(conn: JoinHandle<()>) {
+    if conn.join().is_err() {
+        eprintln!("warning: a connection thread panicked");
+    }
+}
+
+/// Turn a connection away at admission: one best-effort `ERR busy`
+/// frame, counted, then the socket drops.
+fn refuse(shared: &Shared, mut stream: TcpStream) {
+    shared.metrics.count_error("busy");
+    let msg = format!("ERR busy the daemon is serving its limit of {MAX_CONNS} connections");
+    let _ = write_frame(&mut stream, msg.as_bytes());
+}
+
+/// An admitted connection, holding one `efd_active_connections` slot
+/// until dropped. Dropped unserved (no thread started), it refuses.
+struct Conn {
+    shared: Arc<Shared>,
+    stream: Option<TcpStream>,
+}
+
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.shared.metrics.active_connections.add(-1);
+        if let Some(stream) = self.stream.take() {
+            refuse(&self.shared, stream);
+        }
     }
 }
 
@@ -535,11 +536,12 @@ fn reply(text: String) -> Reply {
 /// queued replies only when no complete frame is buffered — just before
 /// the read that could block — and before every exit, so a pipelined
 /// batch is answered with one write.
-fn frame_loop(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch) -> io::Result<()> {
+fn frame_loop(shared: &Shared, stream: TcpStream, scratch: &mut VoteScratch) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new();
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    // Reads and writes share the one descriptor through `&TcpStream`.
+    let mut writer = BufWriter::new(&stream);
     // Decode instants of the replies queued since the last flush.
     let mut queued: Vec<Instant> = Vec::new();
     let mut session: Option<StreamState> = None;
@@ -552,7 +554,7 @@ fn frame_loop(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch)
         if !reader.frame_ready() {
             flush(shared, &mut writer, &mut queued)?;
         }
-        match reader.read_frame(&mut stream) {
+        match reader.read_frame(&mut &stream) {
             Ok(None) => break, // clean close at a frame boundary
             Ok(Some(payload)) => {
                 idle = Duration::ZERO;
@@ -581,7 +583,7 @@ fn frame_loop(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch)
                 // connection that opens with one is an HTTP request.
                 let head = reader.buffered();
                 if first && (head.starts_with(b"GET ") || head.starts_with(b"HEAD")) {
-                    return handle_http(shared, stream, head.to_vec());
+                    return handle_http(shared, &stream, head.to_vec());
                 }
                 shared.metrics.count_error("oversized");
                 // Structured refusal, then drop: the stream position is
@@ -607,7 +609,7 @@ fn frame_loop(shared: &Shared, mut stream: TcpStream, scratch: &mut VoteScratch)
 /// `efd_request_duration_seconds` (frame decoded → response flushed).
 fn flush(
     shared: &Shared,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut BufWriter<&TcpStream>,
     queued: &mut Vec<Instant>,
 ) -> io::Result<()> {
     writer.flush()?;
@@ -842,7 +844,8 @@ fn stream_verdict(shared: &Shared, st: &StreamState, rec: &efd_core::Recognition
 }
 
 /// Count a verdict and feed the drift monitor; a judgement edge
-/// (ok → alarm, alarm → ok, ...) is logged exactly once.
+/// (ok → alarm, alarm → ok, ...) is logged exactly once. The drift
+/// gauges are refreshed at scrape time, not here.
 fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
     let label = verdict_label(rec);
     shared.metrics.count_verdict(label);
@@ -858,13 +861,12 @@ fn note_verdict(shared: &Shared, rec: &efd_core::Recognition) {
             snap.samples,
         );
     }
-    shared.metrics.observe_drift(&shared.drift.snapshot());
 }
 
 /// Minimal HTTP/1.1: `GET /metrics` (Prometheus text), `GET /healthz`.
 /// One request per connection (`Connection: close`); `head` is what the
 /// frame reader had already received.
-fn handle_http(shared: &Shared, mut stream: TcpStream, mut head: Vec<u8>) -> io::Result<()> {
+fn handle_http(shared: &Shared, mut stream: &TcpStream, mut head: Vec<u8>) -> io::Result<()> {
     let mut buf = [0u8; 1024];
     let mut idle = Duration::ZERO;
     loop {
@@ -902,7 +904,7 @@ fn handle_http(shared: &Shared, mut stream: TcpStream, mut head: Vec<u8>) -> io:
     let (status, body) = match (method, path) {
         ("GET", "/metrics") | ("HEAD", "/metrics") => {
             shared.metrics.scrapes_total.inc();
-            ("200 OK", shared.metrics.render())
+            ("200 OK", shared.metrics_text())
         }
         ("GET", "/healthz") | ("HEAD", "/healthz") => ("200 OK", "ok\n".to_string()),
         _ => ("404 Not Found", "not found\n".to_string()),

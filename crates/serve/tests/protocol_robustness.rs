@@ -4,12 +4,11 @@
 //! client. The daemon's contract under all of them: a structured
 //! `ERR <kind> <message>` response or a clean connection drop, the
 //! matching `efd_protocol_errors_total{kind=...}` increment — and
-//! never a panic, a wedged worker, or a hung test.
+//! never a panic, a leaked connection thread, or a hung test.
 //!
-//! Worker health is proven the strict way: most tests run a
-//! **single-worker** daemon, so if a malformed connection could wedge
-//! its worker, the follow-up well-formed connection would hang and the
-//! harness's 10 s receive deadline would fail the test.
+//! Recovery is proven after each bad peer: `efd_active_connections`
+//! must return to 0 — the bad connection's thread ended instead of
+//! hanging on — and a fresh connection must still answer `PING`.
 
 mod common;
 
@@ -21,14 +20,10 @@ use common::*;
 use efd_serve::net::protocol::write_frame;
 use efd_serve::net::{Server, MAX_FRAME};
 
-/// A one-worker daemon over the harness corpus — the strictest setting
-/// for proving workers survive and recover from bad peers.
-fn one_worker_server(tweak: impl FnOnce(&mut efd_serve::net::ServerConfig)) -> Server {
+/// A daemon over a one-app dictionary.
+fn ft_server(tweak: impl FnOnce(&mut efd_serve::net::ServerConfig)) -> Server {
     let dict = dict_with(&[("ft", 6000.0)]);
-    start_server(snapshot_engine(&dict), |cfg| {
-        cfg.workers = 1;
-        tweak(cfg);
-    })
+    start_server(snapshot_engine(&dict), tweak)
 }
 
 /// Count of one error kind as currently exported by the daemon.
@@ -41,16 +36,20 @@ fn error_count(server: &Server, kind: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Prove the (single) worker is free and sane by completing a
-/// well-formed request on a fresh connection.
+/// Wait until no connection thread is left running, then prove the
+/// daemon sane by completing a well-formed request on a fresh
+/// connection.
 fn assert_daemon_healthy(server: &Server) {
+    wait_until("every connection thread to end", || {
+        server.metrics().active_connections.get() == 0
+    });
     let mut probe = Client::connect(server.local_addr());
     assert_eq!(probe.request("PING"), "PONG");
 }
 
 #[test]
 fn torn_length_prefix_is_counted_and_dropped_cleanly() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.write_all(&[42u8, 0]).expect("2 of 4 prefix bytes");
     drop(stream); // close mid-prefix
@@ -62,7 +61,7 @@ fn torn_length_prefix_is_counted_and_dropped_cleanly() {
 
 #[test]
 fn truncated_payload_is_counted_and_dropped_cleanly() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     // Promise 100 payload bytes, deliver 4, vanish.
     stream.write_all(&100u32.to_le_bytes()).expect("prefix");
@@ -76,7 +75,7 @@ fn truncated_payload_is_counted_and_dropped_cleanly() {
 
 #[test]
 fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     client
         .stream
@@ -96,7 +95,7 @@ fn oversized_prefix_gets_a_structured_refusal_then_the_connection_drops() {
 
 #[test]
 fn zero_length_frame_gets_a_structured_refusal_then_the_connection_drops() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     client.stream.write_all(&0u32.to_le_bytes()).expect("empty prefix");
     let resp = client.recv_or_close().expect("structured refusal before the drop");
@@ -110,7 +109,7 @@ fn zero_length_frame_gets_a_structured_refusal_then_the_connection_drops() {
 
 #[test]
 fn malformed_payloads_answer_err_and_keep_the_connection_alive() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let cases: Vec<String> = vec![
         "NOPE".into(),
@@ -145,7 +144,7 @@ fn malformed_payloads_answer_err_and_keep_the_connection_alive() {
 
 #[test]
 fn unknown_metric_and_bad_sequences_are_structured_errors() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut client = Client::connect(server.local_addr());
     let resp = client.request("RECOGNIZE not_a_metric 60 120 1.0 2.0");
     assert!(resp.starts_with("ERR unknown-metric"), "got {resp:?}");
@@ -165,7 +164,7 @@ fn unknown_metric_and_bad_sequences_are_structured_errors() {
     assert_eq!(error_count(&server, "bad-state"), 3);
     assert_eq!(error_count(&server, "unknown-metric"), 1);
     assert_eq!(error_count(&server, "read-only"), 1);
-    drop(client); // free the single worker before probing
+    drop(client); // its thread must end before the probe
     assert_daemon_healthy(&server);
     server.shutdown();
     server.join();
@@ -173,7 +172,7 @@ fn unknown_metric_and_bad_sequences_are_structured_errors() {
 
 #[test]
 fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     {
         let mut client = Client::connect(server.local_addr());
         assert!(client
@@ -184,8 +183,7 @@ fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
         }
         // Vanish with the session open and samples buffered.
     }
-    // The single worker must come back for the next connection, and the
-    // abandoned session must not have produced a verdict.
+    // The abandoned session's thread must end without a verdict.
     assert_daemon_healthy(&server);
     assert!(server.metrics_text().contains("efd_verdicts_total{verdict=\"recognized\"} 0"));
     server.shutdown();
@@ -194,7 +192,7 @@ fn mid_stream_disconnect_frees_the_worker_without_a_verdict() {
 
 #[test]
 fn slow_loris_client_is_dropped_at_the_idle_timeout() {
-    let server = one_worker_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
+    let server = ft_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
     let mut client = Client::connect(server.local_addr());
     // Dribble two prefix bytes, then go quiet mid-frame.
     client.stream.write_all(&[9u8, 0]).expect("dribble");
@@ -205,8 +203,11 @@ fn slow_loris_client_is_dropped_at_the_idle_timeout() {
         client.recv_or_close().is_none(),
         "daemon must close the idle connection"
     );
-    // The worker is free again for honest clients, and an honest client
-    // that keeps talking is NOT idle-dropped.
+    // The dropped connection's thread ended, and an honest client that
+    // keeps talking is NOT idle-dropped.
+    wait_until("the idle connection's thread to end", || {
+        server.metrics().active_connections.get() == 0
+    });
     let mut honest = Client::connect(server.local_addr());
     for _ in 0..6 {
         assert_eq!(honest.request("PING"), "PONG");
@@ -221,7 +222,7 @@ fn slow_loris_client_is_dropped_at_the_idle_timeout() {
 fn quiet_connection_with_no_bytes_is_also_idle_dropped() {
     // Idle accounting must cover the pre-sniff window too (a peer that
     // connects and never sends a byte).
-    let server = one_worker_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
+    let server = ft_server(|cfg| cfg.idle_timeout = Duration::from_millis(300));
     let mut client = Client::connect(server.local_addr());
     wait_until("pre-sniff idle-timeout", || {
         error_count(&server, "idle-timeout") == 1
@@ -248,7 +249,7 @@ fn replies_until_close(client: &mut Client) -> Vec<String> {
 
 #[test]
 fn pipelined_batch_is_answered_in_order_like_one_request_at_a_time() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let means = [
         [6000.0, 6000.0],
         [111.0, 222.0],
@@ -261,8 +262,7 @@ fn pipelined_batch_is_answered_in_order_like_one_request_at_a_time() {
             _ => recognize_line(&means[i % means.len()]),
         })
         .collect();
-    // One request at a time first (this connection must close before
-    // the single worker takes the next one).
+    // One request at a time first, on its own connection.
     let want: Vec<String> = {
         let mut c = Client::connect(server.local_addr());
         lines.iter().map(|l| c.request(l)).collect()
@@ -283,7 +283,7 @@ fn pipelined_batch_is_answered_in_order_like_one_request_at_a_time() {
 
 #[test]
 fn oversized_prefix_after_a_pipelined_batch_is_refused_after_its_replies() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut bytes = batch(&vec!["PING".to_string(); 5]);
     bytes.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
     let mut client = Client::connect(server.local_addr());
@@ -300,7 +300,7 @@ fn oversized_prefix_after_a_pipelined_batch_is_refused_after_its_replies() {
 
 #[test]
 fn torn_tail_after_a_pipelined_batch_is_dropped_after_its_replies() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let mut bytes = batch(&vec!["PING".to_string(); 5]);
     bytes.extend_from_slice(&100u32.to_le_bytes());
     bytes.extend_from_slice(b"PING"); // 4 of 100 promised payload bytes
@@ -319,7 +319,7 @@ fn torn_tail_after_a_pipelined_batch_is_dropped_after_its_replies() {
 
 #[test]
 fn shutdown_mid_batch_answers_what_precedes_it_then_stops_the_daemon() {
-    let server = one_worker_server(|_| {});
+    let server = ft_server(|_| {});
     let ok = recognize_line(&[6000.0, 6000.0]);
     let lines = ["PING", &ok, "SHUTDOWN", "PING", &ok].map(str::to_string);
     let mut client = Client::connect(server.local_addr());
