@@ -1,6 +1,8 @@
 //! Network daemon throughput over loopback: an in-process
-//! [`efd_serve::net::Server`] over a synthetic keyspace, driven by the
-//! pipelined [`efd_serve::net::loadgen`] client.
+//! [`efd_serve::net::Server`] over the synthetic keyspace
+//! ([`efd_serve::net::loadgen::synth_keyspace_dict`], the one `efd dump
+//! --synth-keys` writes), driven by the pipelined
+//! [`efd_serve::net::loadgen`] client.
 //!
 //! This is the socket-inclusive companion to `perf_serving`: every
 //! verdict here pays frame decode, catalog lookup, recognition, frame
@@ -16,22 +18,13 @@
 
 use std::sync::Arc;
 
-use efd_core::{EfdDictionary, LabeledObservation, Query, RoundingDepth};
-use efd_serve::net::loadgen::{run, LoadgenConfig};
+use efd_serve::net::loadgen::{run, synth_keyspace_dict, synth_keyspace_payloads, LoadgenConfig};
 use efd_serve::net::{Engine, Server, ServerConfig};
 use efd_serve::Snapshot;
 use efd_telemetry::catalog::small_catalog;
-use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
 use efd_util::TextTable;
 
-/// Nodes the synthetic keyspace cycles over (matches the CLI's
-/// `dump --synth-keys` / `loadgen --keyspace` generator shape).
-const NODES: u16 = 64;
-/// Nodes per `RECOGNIZE` payload.
-const QUERY_NODES: usize = 8;
-const METRIC: MetricId = MetricId(0);
 const METRIC_NAME: &str = "nr_mapped_vmstat";
-const WINDOW: Interval = Interval::PAPER_DEFAULT;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -40,60 +33,19 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Key `i`: `(METRIC, node i % NODES, WINDOW, mean 100000 + i)` labeled
-/// `app{i % 50}` — distinct, densely packed keys at depth 6.
-fn synth_dictionary(keys: usize) -> EfdDictionary {
-    let mut d = EfdDictionary::new(RoundingDepth::new(6));
-    for i in 0..keys {
-        let q = Query {
-            points: vec![efd_core::ObsPoint {
-                metric: METRIC,
-                node: NodeId((i % NODES as usize) as u16),
-                interval: WINDOW,
-                mean: 100_000.0 + i as f64,
-            }],
-        };
-        d.learn(&LabeledObservation {
-            label: AppLabel::new(format!("app{:03}", i % 50), "X"),
-            query: q,
-        });
-    }
-    d
-}
-
-/// `RECOGNIZE` payloads aligned to NODES-key blocks, so payload means
-/// land on the learned keys of nodes `0..QUERY_NODES`; block indices a
-/// little past the keyspace produce misses (~9%).
-fn synth_payloads(keys: usize, count: usize) -> Vec<String> {
-    let blocks = (keys / NODES as usize).max(1);
-    let span = blocks + blocks / 10 + 1;
-    (0..count)
-        .map(|i| {
-            let i0 = (i % span) * NODES as usize;
-            let means: Vec<String> = (0..QUERY_NODES)
-                .map(|j| format!("{}", 100_000.0 + (i0 + j) as f64))
-                .collect();
-            format!(
-                "RECOGNIZE {METRIC_NAME} {} {} {}",
-                WINDOW.start,
-                WINDOW.end,
-                means.join(" ")
-            )
-        })
-        .collect()
-}
-
 fn main() {
     let keys = env_usize("EFD_NET_KEYS", 100_000);
     let secs = env_usize("EFD_NET_SECS", 2);
 
     eprintln!("building {keys}-key synthetic dictionary ...");
-    let dict = synth_dictionary(keys);
+    let catalog = small_catalog();
+    let metric = catalog.id(METRIC_NAME).expect("metric in the small catalog");
+    let dict = synth_keyspace_dict(keys, metric);
     let engine = Engine::fixed(Arc::new(Snapshot::freeze(&dict, 64)), dict.len(), "snapshot");
-    let server = Server::start("127.0.0.1:0", ServerConfig::new(small_catalog()), engine)
+    let server = Server::start("127.0.0.1:0", ServerConfig::new(catalog), engine)
         .expect("daemon starts");
     let addr = server.local_addr().to_string();
-    let payloads = synth_payloads(keys, 512);
+    let payloads = synth_keyspace_payloads(METRIC_NAME, keys, 512);
 
     let mut table = TextTable::new(vec![
         "conns", "pipeline", "verdicts/s", "p50 µs", "p99 µs", "errors",

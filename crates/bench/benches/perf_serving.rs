@@ -2,15 +2,11 @@
 //!
 //! The `efd_serve` acceptance claim, quantified: freeze the trained
 //! dictionary into a [`efd_serve::Snapshot`] at several shard counts and
-//! answer a ≥ 10 000-query stream through [`efd_serve::BatchRecognizer`],
-//! against the single-threaded [`efd_core::EfdDictionary::recognize`]
-//! loop as baseline. Two served modes are measured:
-//!
-//! * `batch_full` — full [`efd_core::Recognition`] per query (vote
-//!   tables, normalized ordering): answer-identical to the oracle.
-//! * `batch_best` — the zero-allocation verdict path
-//!   ([`efd_serve::BatchRecognizer::best_batch`]): only the application
-//!   name the paper's evaluation scores.
+//! answer a ≥ 10 000-query stream through
+//! [`efd_core::engine::ParallelRecognize::recognize_batch_parallel`]
+//! (`batch_full`: a full [`efd_core::Recognition`] per query,
+//! answer-identical to the oracle), against the single-threaded
+//! [`efd_core::EfdDictionary::recognize`] loop as baseline.
 //!
 //! Speedup comes from two independent levers: worker parallelism
 //! (`EFD_THREADS`, default = available cores) and the dense-counter read
@@ -32,11 +28,11 @@ use std::time::Instant;
 
 use criterion::black_box;
 use efd_bench::{bench_dataset, headline_metric};
-use efd_core::engine::{Recognize, VoteScratch};
+use efd_core::engine::{ParallelRecognize, Recognize, VoteScratch};
 use efd_core::observation::{LabeledObservation, Query};
 use efd_core::training::{Efd, EfdConfig};
 use efd_core::RoundingDepth;
-use efd_serve::{BatchRecognizer, Snapshot};
+use efd_serve::Snapshot;
 use efd_telemetry::trace::MetricSelection;
 use efd_telemetry::Interval;
 use efd_util::{num_threads, SplitMix64, TextTable};
@@ -124,34 +120,23 @@ fn main() {
         "1.00x".to_string(),
     ]);
 
-    let mut speedup_at_8_full = 0.0f64;
-    let mut speedup_at_8_best = 0.0f64;
+    let mut speedup_at_8 = 0.0f64;
     for shards in [1usize, 2, 4, 8, 16] {
         let snapshot = Arc::new(Snapshot::freeze(&dict, shards));
-        let server = BatchRecognizer::new(Arc::clone(&snapshot));
-
-        let t_full = time_best_of(reps, || {
-            black_box(server.recognize_batch(&queries).len());
+        let t = time_best_of(reps, || {
+            black_box(snapshot.recognize_batch_parallel(&queries).len());
         });
-        let t_best = time_best_of(reps, || {
-            black_box(server.best_batch(&queries).len());
-        });
-        for (mode, t, track) in [
-            ("batch_full", t_full, &mut speedup_at_8_full),
-            ("batch_best", t_best, &mut speedup_at_8_best),
-        ] {
-            let speedup = t_oracle / t;
-            if shards == 8 {
-                *track = speedup;
-            }
-            table.add_row(vec![
-                mode.to_string(),
-                shards.to_string(),
-                format!("{:.1}", t * 1e3),
-                format!("{:.0}", queries.len() as f64 / t),
-                format!("{speedup:.2}x"),
-            ]);
+        let speedup = t_oracle / t;
+        if shards == 8 {
+            speedup_at_8 = speedup;
         }
+        table.add_row(vec![
+            "batch_full".to_string(),
+            shards.to_string(),
+            format!("{:.1}", t * 1e3),
+            format!("{:.0}", queries.len() as f64 / t),
+            format!("{speedup:.2}x"),
+        ]);
     }
     println!("{}", table.render());
 
@@ -159,9 +144,8 @@ fn main() {
         "\nacceptance: sharded batch recognition at 8 shards on {} queries:",
         queries.len()
     );
-    println!("  full-fidelity batch : {speedup_at_8_full:.2}x single-thread");
-    println!("  verdict-only batch  : {speedup_at_8_best:.2}x single-thread");
-    let ok = speedup_at_8_full.max(speedup_at_8_best) >= 2.0;
+    println!("  full-fidelity batch : {speedup_at_8:.2}x single-thread");
+    let ok = speedup_at_8 >= 2.0;
     println!(
         "  >= 2x threshold     : {}",
         if ok { "PASS" } else { "MISS" }
@@ -174,7 +158,8 @@ fn main() {
     // ------------------------------------------------------------------
 
     /// Generic driver: monomorphizes per backend — this is what
-    /// `BatchRecognizer<R>` and every `R: Recognize` call site compile to.
+    /// `recognize_batch_parallel` and every `R: Recognize` call site
+    /// compile to.
     fn drive<R: Recognize>(backend: &R, queries: &[Query], scratch: &mut VoteScratch) -> usize {
         let mut matched = 0usize;
         for q in queries {

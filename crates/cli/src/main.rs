@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use efd_catalog::{Baseline, Catalog, CatalogRef, Manifest, StageBackend};
-use efd_core::engine::Recognize;
+use efd_core::engine::{ParallelRecognize, Recognize};
 use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_serve::{Backend, Source};
 use efd_eval::classifier::{EfdClassifier, ExecutionClassifier, TaxonomistClassifier};
@@ -649,7 +649,7 @@ fn cmd_dump(args: &Args) -> Result<(), String> {
         // --keyspace`) instead of the trained dataset —
         // how the 1M-key daemon fixture is produced.
         let d = dataset_from(args)?;
-        let dict = synth_keyspace_dict(keys, headline(&d));
+        let dict = efd_serve::net::loadgen::synth_keyspace_dict(keys, headline(&d));
         let bytes = encode_dict(&dict, d.catalog(), format);
         std::fs::write(out, &bytes).map_err(|e| format!("write {out}: {e}"))?;
         println!(
@@ -795,10 +795,16 @@ fn load_queries(
     Ok(queries)
 }
 
-/// Synthesize a recognition workload from the dataset: cycle its runs'
-/// window means with small deterministic jitter (a stream of repeated
-/// executions, as an always-on service would see).
-fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
+/// Seed of the `efd serve`/`efd loadgen` query stream.
+const QUERY_SEED: u64 = 0x5E21E;
+/// Seed of the `efd serve --learn` stream (distinct from the query seed,
+/// so learning keeps adding fresh keys like a live cluster would).
+const LEARN_SEED: u64 = 0x1EA2;
+
+/// Synthesize a labeled stream from the dataset: cycle its runs' window
+/// means with small deterministic jitter (repeated executions, as an
+/// always-on service would see them). `seed` picks the jitter.
+fn synth_stream(d: &Dataset, count: usize, seed: u64) -> Vec<efd_core::LabeledObservation> {
     let metric = headline(d);
     let sel = efd_telemetry::trace::MetricSelection::single(metric);
     let per_run: Vec<Vec<f64>> = d
@@ -806,19 +812,32 @@ fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
         .into_iter()
         .map(|nodes| nodes.into_iter().map(|m| m[0]).collect())
         .collect();
-    let mut rng = efd_util::SplitMix64::new(0x5E21E);
+    let labels = d.labels();
+    let mut rng = efd_util::SplitMix64::new(seed);
     (0..count)
         .map(|i| {
-            let means: Vec<f64> = per_run[i % per_run.len()]
+            let run = i % per_run.len();
+            let means: Vec<f64> = per_run[run]
                 .iter()
                 .map(|m| m * (1.0 + (rng.next_f64() - 0.5) * 0.004))
                 .collect();
-            efd_core::Query::from_node_means(
-                metric,
-                efd_telemetry::Interval::PAPER_DEFAULT,
-                &means,
-            )
+            efd_core::LabeledObservation {
+                label: labels[run].clone(),
+                query: efd_core::Query::from_node_means(
+                    metric,
+                    efd_telemetry::Interval::PAPER_DEFAULT,
+                    &means,
+                ),
+            }
         })
+        .collect()
+}
+
+/// The query half of [`synth_stream`] under [`QUERY_SEED`].
+fn synth_queries(d: &Dataset, count: usize) -> Vec<efd_core::Query> {
+    synth_stream(d, count, QUERY_SEED)
+        .into_iter()
+        .map(|o| o.query)
         .collect()
 }
 
@@ -838,11 +857,10 @@ fn serve_batch(
     queries: &[efd_core::Query],
     repeat: usize,
 ) -> std::time::Duration {
-    let server = efd_serve::BatchRecognizer::new(engine);
     let start = std::time::Instant::now();
     let mut answers = Vec::new();
     for _ in 0..repeat {
-        answers = server.recognize_batch(queries);
+        answers = engine.recognize_batch_parallel(queries);
     }
     let elapsed = start.elapsed();
     let total = queries.len() * repeat;
@@ -902,36 +920,42 @@ fn serve_queries(args: &Args, d: &Dataset) -> Result<Vec<efd_core::Query>, Strin
     }
 }
 
-/// Synthesize a labeled learn stream from the dataset: cycle its runs
-/// with small deterministic jitter (distinct from the query jitter seed,
-/// so learning keeps adding fresh keys like a live cluster would).
-fn synth_learn_stream(d: &Dataset, count: usize) -> Vec<efd_core::LabeledObservation> {
-    let metric = headline(d);
-    let sel = efd_telemetry::trace::MetricSelection::single(metric);
-    let per_run: Vec<Vec<f64>> = d
-        .window_means_all(&sel, efd_telemetry::Interval::PAPER_DEFAULT)
-        .into_iter()
-        .map(|nodes| nodes.into_iter().map(|m| m[0]).collect())
-        .collect();
-    let labels = d.labels();
-    let mut rng = efd_util::SplitMix64::new(0x1EA2);
-    (0..count)
-        .map(|i| {
-            let run = i % per_run.len();
-            let means: Vec<f64> = per_run[run]
-                .iter()
-                .map(|m| m * (1.0 + (rng.next_f64() - 0.5) * 0.004))
-                .collect();
-            efd_core::LabeledObservation {
-                label: labels[run].clone(),
-                query: efd_core::Query::from_node_means(
-                    metric,
-                    efd_telemetry::Interval::PAPER_DEFAULT,
-                    &means,
-                ),
-            }
-        })
-        .collect()
+/// Open `--wal <dir>` for either `efd serve --wal` form (batch or
+/// `--listen`): parse `--depth` and `--wal-sync`, recover the directory
+/// (or start fresh) and print the recovery lines.
+fn open_wal(
+    args: &Args,
+    dir: &str,
+    d: &Dataset,
+    shards: usize,
+) -> Result<(efd_serve::DurableDictionary, efd_core::wal::Recovery), String> {
+    let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
+    let depth = efd_core::RoundingDepth::try_new(depth_raw)
+        .ok_or_else(|| format!("invalid --depth {depth_raw} (1..=17)"))?;
+    let sync_raw = args.flag("wal-sync").unwrap_or("batch");
+    let sync = efd_core::SyncPolicy::parse(sync_raw)
+        .ok_or_else(|| format!("invalid --wal-sync {sync_raw:?} (always|batch|none|<n>)"))?;
+    let options = efd_core::wal::WalOptions {
+        sync,
+        ..Default::default()
+    };
+    let t = std::time::Instant::now();
+    let (served, recovery) =
+        efd_serve::DurableDictionary::open(Path::new(dir), depth, shards, d.catalog(), options)
+            .map_err(|e| format!("{dir}: {e}"))?;
+    if let Some(fault) = &recovery.tail_fault {
+        eprintln!(
+            "warning: wal tail: {fault}; discarded {} bytes past the valid prefix",
+            recovery.truncated_bytes
+        );
+    }
+    println!(
+        "recovered:  {dir} — segment {}, {} log records replayed, {:.2} ms (sync {sync_raw})",
+        recovery.segments,
+        recovery.replayed,
+        t.elapsed().as_secs_f64() * 1e3,
+    );
+    Ok((served, recovery))
 }
 
 /// `efd serve --wal <dir>`: durable serving. Recover the directory (or
@@ -943,39 +967,14 @@ fn cmd_serve_wal(args: &Args, dir: &str) -> Result<(), String> {
     use std::time::Instant;
 
     let d = dataset_from(args)?;
-    let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
-    let depth = efd_core::RoundingDepth::try_new(depth_raw)
-        .ok_or_else(|| format!("invalid --depth {depth_raw} (1..=17)"))?;
-    let sync_raw = args.flag("wal-sync").unwrap_or("batch");
-    let sync = efd_core::SyncPolicy::parse(sync_raw)
-        .ok_or_else(|| format!("invalid --wal-sync {sync_raw:?} (always|batch|none|<n>)"))?;
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
     let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
     let learn_n: usize = args.flag_parsed("learn")?.unwrap_or(0);
-
-    let options = efd_core::wal::WalOptions {
-        sync,
-        ..Default::default()
-    };
-    let t = Instant::now();
-    let (served, recovery) =
-        efd_serve::DurableDictionary::open(std::path::Path::new(dir), depth, shards, d.catalog(), options)
-            .map_err(|e| format!("{dir}: {e}"))?;
-    let open_ms = t.elapsed().as_secs_f64() * 1e3;
-    if let Some(fault) = &recovery.tail_fault {
-        eprintln!(
-            "warning: wal tail: {fault}; discarded {} bytes past the valid prefix",
-            recovery.truncated_bytes
-        );
-    }
-    println!(
-        "recovered:  {dir} — segment {}, {} log records replayed, {:.2} ms (sync {sync_raw})",
-        recovery.segments, recovery.replayed, open_ms,
-    );
+    let (served, recovery) = open_wal(args, dir, &d, shards)?;
 
     let mut oracle = recovery.dictionary;
     if learn_n > 0 {
-        let stream = synth_learn_stream(&d, learn_n);
+        let stream = synth_stream(&d, learn_n, LEARN_SEED);
         let t = Instant::now();
         for obs in &stream {
             served.learn(obs).map_err(|e| format!("{dir}: {e}"))?;
@@ -1008,32 +1007,42 @@ fn cmd_serve_wal(args: &Args, dir: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    if args.flag("backend").is_some()
-        && (args.flag("manifest").is_some() || args.flag("wal").is_some())
-    {
+/// `efd serve` reads one dictionary source — `--load` (or `--dict`),
+/// `--manifest` or `--wal` — in batch and `--listen` mode alike, and
+/// `--backend` only picks how a `--load` file is served.
+fn check_serve_sources(args: &Args) -> Result<(), String> {
+    let load = args.flag("load").or(args.flag("dict"));
+    let given: Vec<&str> = [
+        ("--load", load),
+        ("--manifest", args.flag("manifest")),
+        ("--wal", args.flag("wal")),
+    ]
+    .into_iter()
+    .filter_map(|(flag, value)| value.map(|_| flag))
+    .collect();
+    if given.len() > 1 {
+        return Err(format!("{} are mutually exclusive", given.join(" and ")));
+    }
+    if args.flag("backend").is_some() && given.first().is_some_and(|&f| f != "--load") {
         return Err(
             "--backend applies to --load; it cannot be combined with --manifest or --wal".into(),
         );
     }
+    Ok(())
+}
+
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    check_serve_sources(args)?;
     if let Some(addr) = args.flag("listen") {
         return cmd_serve_listen(args, addr);
     }
-
     if let Some(dir) = args.flag("wal") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--wal and --load are mutually exclusive".into());
-        }
         return cmd_serve_wal(args, dir);
     }
-
     if let Some(mpath) = args.flag("manifest") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--manifest and --load are mutually exclusive".into());
-        }
         let d = dataset_from(args)?;
         let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
         let repeat: usize = args.flag_parsed("repeat")?.unwrap_or(1).max(1);
@@ -1132,7 +1141,7 @@ fn install_sighup(_flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
     use efd_serve::net;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     let d = dataset_from(args)?;
     let shards: usize = args.flag_parsed("shards")?.unwrap_or(8);
@@ -1144,10 +1153,6 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
     cfg.backend = backend;
 
     let engine = if let Some(mpath) = args.flag("manifest") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() || args.flag("wal").is_some()
-        {
-            return Err("--manifest and --load/--wal are mutually exclusive".into());
-        }
         let mpath = std::path::PathBuf::from(mpath);
         let me = engine_from_manifest(&mpath, d.catalog(), shards)?;
         println!("manifest:   {} — stack {}", mpath.display(), me.stack.describe());
@@ -1164,40 +1169,7 @@ fn cmd_serve_listen(args: &Args, addr: &str) -> Result<(), String> {
         }));
         manifest_net_engine(me)
     } else if let Some(dir) = args.flag("wal") {
-        if args.flag("load").is_some() || args.flag("dict").is_some() {
-            return Err("--wal and --load are mutually exclusive".into());
-        }
-        let depth_raw: u8 = args.flag_parsed("depth")?.unwrap_or(2);
-        let depth = efd_core::RoundingDepth::try_new(depth_raw)
-            .ok_or_else(|| format!("invalid --depth {depth_raw} (1..=17)"))?;
-        let sync_raw = args.flag("wal-sync").unwrap_or("batch");
-        let sync = efd_core::SyncPolicy::parse(sync_raw)
-            .ok_or_else(|| format!("invalid --wal-sync {sync_raw:?} (always|batch|none|<n>)"))?;
-        let options = efd_core::wal::WalOptions {
-            sync,
-            ..Default::default()
-        };
-        let t = Instant::now();
-        let (served, recovery) = efd_serve::DurableDictionary::open(
-            std::path::Path::new(dir),
-            depth,
-            shards,
-            d.catalog(),
-            options,
-        )
-        .map_err(|e| format!("{dir}: {e}"))?;
-        if let Some(fault) = &recovery.tail_fault {
-            eprintln!(
-                "warning: wal tail: {fault}; discarded {} bytes past the valid prefix",
-                recovery.truncated_bytes
-            );
-        }
-        println!(
-            "recovered:  {dir} — segment {}, {} log records replayed, {:.2} ms",
-            recovery.segments,
-            recovery.replayed,
-            t.elapsed().as_secs_f64() * 1e3,
-        );
+        let (served, _) = open_wal(args, dir, &d, shards)?;
         net::Engine::durable(Arc::new(served))
     } else {
         let src = load_source(args)?;
@@ -1250,14 +1222,14 @@ fn unix_now() -> u64 {
 }
 
 /// Measure a dictionary's abstention baseline: replay a deterministic
-/// labeled stream (the `synth_learn_stream` shape) through a snapshot of
+/// labeled stream (the `efd serve --learn` stream) through a snapshot of
 /// the dictionary and record unknown/ambiguous rates plus macro-F1.
 /// Published alongside the artifact, this is what the serve layer's
 /// drift monitor compares live traffic against.
 fn abstention_baseline(dict: &EfdDictionary, d: &Dataset, queries: usize) -> Baseline {
     use std::collections::BTreeMap;
 
-    let stream = synth_learn_stream(d, queries.max(1));
+    let stream = synth_stream(d, queries.max(1), LEARN_SEED);
     let snapshot = efd_serve::Snapshot::freeze(dict, 8);
     let mut scratch = efd_core::engine::VoteScratch::default();
     let (mut unknown, mut ambiguous) = (0usize, 0usize);
@@ -1776,7 +1748,7 @@ fn manifest_net_engine(me: ManifestEngine) -> efd_serve::net::Engine {
 /// `efd loadgen --addr <a>`: drive a running daemon and report latency
 /// percentiles (optionally into `BENCH_8.json`).
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
-    use efd_serve::net::loadgen::{run, LoadgenConfig};
+    use efd_serve::net::loadgen::{run, synth_keyspace_payloads, LoadgenConfig};
     use std::time::Duration;
 
     let addr = args.flag("addr").ok_or("need --addr <host:port>")?;
@@ -2059,45 +2031,6 @@ fn cmd_wal_verify(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// The shared synthetic keyspace: key `i` is `(headline metric,
-/// node i % 64, [60:120], mean 100_000 + i)` labeled `app{i%50}/X` at
-/// rounding depth 6 (sequential means stay distinct). `dump
-/// --synth-keys` and `loadgen --keyspace` both derive from this one
-/// shape, so a loadgen against a `--synth-keys` EFDB hits real keys
-/// by construction.
-fn synth_keyspace_dict(keys: usize, metric: efd_telemetry::MetricId) -> EfdDictionary {
-    let mut dict = EfdDictionary::new(efd_core::RoundingDepth::new(6));
-    for i in 0..keys {
-        dict.insert_raw(
-            metric,
-            efd_telemetry::NodeId((i % 64) as u16),
-            efd_telemetry::Interval::PAPER_DEFAULT,
-            100_000.0 + i as f64,
-            &efd_telemetry::AppLabel::new(format!("app{:03}", i % 50), "X"),
-        );
-    }
-    dict
-}
-
-/// RECOGNIZE request lines over the synthetic keyspace: 8-node queries
-/// aligned to 64-key node blocks (so every point lands on its node's
-/// keys), with ~9% of blocks drawn past the keyspace end as misses.
-fn synth_keyspace_payloads(metric_name: &str, keys: usize, count: usize) -> Vec<String> {
-    let blocks = (keys / 64).max(1);
-    let mut rng = efd_util::SplitMix64::new(0x10AD);
-    (0..count.max(1))
-        .map(|_| {
-            let r = (rng.next_u64() as usize) % (blocks + blocks / 10 + 1);
-            let i0 = r * 64;
-            let mut s = format!("RECOGNIZE {metric_name} 60 120");
-            for j in 0..8 {
-                s.push_str(&format!(" {}", 100_000.0 + (i0 + j) as f64));
-            }
-            s
-        })
-        .collect()
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {

@@ -172,30 +172,6 @@ impl VoteScratch {
         }
     }
 
-    /// Drain the accumulated **app** votes into the answer the paper's
-    /// evaluation scores ([`Recognition::best`]): the most-voted
-    /// application, breaking ties by lexicographically smallest name.
-    /// `None` when nothing matched. Resets the scratch; never allocates.
-    pub fn finish_best<'a>(&mut self, apps: &'a [String]) -> Option<&'a str> {
-        let mut top = 0u32;
-        let mut best: Option<&'a str> = None;
-        for &id in &self.touched_apps {
-            let votes = self.app_counts[id.index()];
-            let name = apps[id.index()].as_str();
-            if votes > top || (votes == top && best.is_some_and(|b| name < b)) {
-                top = votes;
-                best = Some(name);
-            }
-        }
-        for id in self.touched_apps.drain(..) {
-            self.app_counts[id.index()] = 0;
-        }
-        while let Some(id) = self.touched_labels.pop() {
-            self.drain_label_count(id.index());
-        }
-        best
-    }
-
     /// Drain the accumulated votes into a [`Recognition`] in
     /// [`Recognition::normalized`] order, resetting the scratch for the
     /// next query. `labels`/`apps` resolve interned ids to names.
@@ -382,16 +358,79 @@ impl<R: Recognize + ?Sized> Recognize for std::sync::Arc<R> {
 /// backend fans batches out over `efd_util`'s scoped-thread pool with one
 /// [`VoteScratch`] per worker — no per-query allocation, results in input
 /// order, thread count from `efd_util::num_threads` (`EFD_THREADS`
-/// overrides).
+/// overrides). A served publication is an `Arc<R>`: swapping in a newer
+/// one is replacing the `Arc`, and batches already running finish on the
+/// one they started with.
+///
+/// ```
+/// use std::sync::Arc;
+/// use efd_core::engine::{ParallelRecognize, Recognize};
+/// use efd_core::{EfdDictionary, Query, RoundingDepth};
+/// use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
+///
+/// let mut dict = EfdDictionary::new(RoundingDepth::new(2));
+/// dict.insert_raw(MetricId(0), NodeId(0), Interval::PAPER_DEFAULT, 6020.0,
+///                 &AppLabel::new("ft", "X"));
+/// // Backends are picked at runtime; the batch path comes with the trait.
+/// let engine: Arc<dyn Recognize + Send + Sync> = Arc::new(dict);
+///
+/// // 64 noisy queries; every mean still rounds to the 6000.0 key at depth 2.
+/// let batch: Vec<Query> = (0..64)
+///     .map(|i| Query::from_node_means(MetricId(0), Interval::PAPER_DEFAULT,
+///                                     &[5980.0 + (i % 60) as f64]))
+///     .collect();
+/// let answers = engine.recognize_batch_parallel(&batch);
+/// assert_eq!(answers.len(), 64);
+/// assert!(answers.iter().all(|r| r.best() == Some("ft")));
+/// ```
 pub trait ParallelRecognize: Recognize + Sync {
     /// Recognize every query across worker threads, results in input
     /// order. Answers equal [`Recognize::recognize_batch`] on the same
     /// queries.
+    ///
+    /// Internally the batch is processed in **key-locality order**:
+    /// queries sorted by their first point's raw key fields, so
+    /// neighboring workers probe neighboring key records / shard lines
+    /// instead of striding the whole store per query. Answers are
+    /// scattered back to input order — the ordering is a cache strategy,
+    /// never visible in results.
     fn recognize_batch_parallel(&self, queries: &[Query]) -> Vec<Recognition> {
-        parallel_map_init(queries, VoteScratch::default, |scratch, q| {
-            self.recognize_into(q, scratch)
-        })
+        let order = locality_order(queries);
+        let answered = parallel_map_init(&order, VoteScratch::default, |scratch, &i| {
+            (i, self.recognize_into(&queries[i], scratch))
+        });
+        scatter(answered, queries.len())
     }
+}
+
+/// Query indices sorted by the first point's raw key fields — the same
+/// `(metric, node, start, end, mean)` prefix the stores sort and hash
+/// by, so adjacent batch items probe adjacent storage.
+fn locality_order(queries: &[Query]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&i| {
+        queries[i].points.first().map(|p| {
+            (
+                p.metric.0,
+                p.node.0,
+                p.interval.start,
+                p.interval.end,
+                p.mean.to_bits(),
+            )
+        })
+    });
+    order
+}
+
+/// Scatter `(input index, answer)` pairs back into input order.
+fn scatter<T>(answered: Vec<(usize, T)>, len: usize) -> Vec<T> {
+    let mut out: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    for (i, r) in answered {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every query answered exactly once"))
+        .collect()
 }
 
 impl<R: Recognize + Sync + ?Sized> ParallelRecognize for R {}
@@ -512,22 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn finish_best_resets_wide_counters() {
-        let apps = ["ft".to_string()];
-        let mut s = VoteScratch::default();
-        s.ensure(1, 1);
-        s.vote_label_wide(LabelId::from_index(0));
-        s.begin_point();
-        s.vote_app_deduped(AppNameId::from_index(0));
-        assert_eq!(s.finish_best(&apps), Some("ft"));
-        // The wide counter was drained: a scalar-path reuse sees zero.
-        s.vote_label(LabelId::from_index(0));
-        let labels = [lab("ft", "X")];
-        let r = s.finish(&labels, &apps, 1, 1);
-        assert_eq!(r.label_votes, vec![(lab("ft", "X"), 1)]);
-    }
-
-    #[test]
     fn trait_recognize_matches_normalized_oracle() {
         const M: MetricId = MetricId(0);
         const W: Interval = Interval::PAPER_DEFAULT;
@@ -554,6 +577,37 @@ mod tests {
             assert_eq!(batch[i], d.recognize(q).normalized());
             assert_eq!(par[i], batch[i]);
         }
+    }
+
+    #[test]
+    fn parallel_batch_matches_one_at_a_time() {
+        const M: MetricId = MetricId(0);
+        const W: Interval = Interval::PAPER_DEFAULT;
+        let mut d = EfdDictionary::new(RoundingDepth::new(2));
+        for (app, mean) in [("ft", 6020.0), ("cg", 8110.0), ("lu", 4320.0)] {
+            for n in 0..4u16 {
+                d.insert_raw(M, efd_telemetry::NodeId(n), W, mean, &lab(app, "X"));
+            }
+        }
+        // Input order is not key order, so the locality sort and the
+        // scatter back to input order both matter.
+        let batch: Vec<Query> = [6010.0, 8090.0, 4310.0, 1.0]
+            .iter()
+            .map(|&m| Query::from_node_means(M, W, &[m; 4]))
+            .collect();
+        let answers = d.recognize_batch_parallel(&batch);
+        assert_eq!(answers.len(), batch.len());
+        for (q, a) in batch.iter().zip(&answers) {
+            assert_eq!(a, &Recognize::recognize(&d, q));
+        }
+        let bests: Vec<Option<&str>> = answers.iter().map(Recognition::best).collect();
+        assert_eq!(bests, vec![Some("ft"), Some("cg"), Some("lu"), None]);
+    }
+
+    #[test]
+    fn parallel_batch_of_nothing_is_empty() {
+        let d = EfdDictionary::new(RoundingDepth::new(2));
+        assert!(d.recognize_batch_parallel(&[]).is_empty());
     }
 
     #[test]

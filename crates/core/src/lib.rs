@@ -29,8 +29,6 @@
 //!   traits (and the [`VoteScratch`] dense-vote contract) unifying every
 //!   backend — core dictionaries, combo keys, and the `efd-serve` forms —
 //!   behind one interface.
-//! * [`online`] — streaming recognizer: feed live samples, get a verdict
-//!   the moment the fingerprint window closes.
 //! * [`serialize`] — JSON dumps of dictionaries ("learning new applications
 //!   is as simple as adding new keys").
 //! * [`binfmt`] — EFDB, the versioned binary dictionary format: zero-parse
@@ -54,7 +52,6 @@ pub mod fingerprint;
 pub mod maintenance;
 pub mod multi;
 pub mod observation;
-pub mod online;
 pub mod reverse;
 pub mod rounding;
 pub mod serialize;

@@ -357,6 +357,31 @@ mod tests {
     }
 
     #[test]
+    fn parallel_batch_separates_single_metric_collisions() {
+        // The served combo form is the dictionary behind an `Arc`: the
+        // conjunctive key keeps sp/bt apart through the parallel batch
+        // path too, and batch answers equal one-at-a-time answers.
+        use crate::engine::{ParallelRecognize, Recognize};
+        let mut combo = ComboDictionary::new(vec![M0, M1], RoundingDepth::new(2));
+        combo.learn_all(&train());
+        let served = std::sync::Arc::new(combo);
+        assert_eq!(served.len(), 4);
+
+        let queries = vec![
+            obs("?", [7530.0, 7510.0], [4020.0, 3990.0]).query,
+            obs("?", [7530.0, 7510.0], [9010.0, 8990.0]).query,
+            obs("?", [7520.0, 7520.0], [6000.0, 6000.0]).query,
+        ];
+        let answers = served.recognize_batch_parallel(&queries);
+        assert_eq!(answers[0].verdict, Verdict::Recognized("sp".into()));
+        assert_eq!(answers[1].verdict, Verdict::Recognized("bt".into()));
+        assert_eq!(answers[2].verdict, Verdict::Unknown);
+        for (q, a) in queries.iter().zip(&answers) {
+            assert_eq!(a, &Recognize::recognize(&served, q));
+        }
+    }
+
+    #[test]
     fn missing_metric_skips_the_point() {
         let mut combo = ComboDictionary::new(vec![M0, M1], RoundingDepth::new(2));
         combo.learn_all(&train());

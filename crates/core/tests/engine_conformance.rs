@@ -6,8 +6,8 @@
 //!
 //! * `exact:` — the full [`Recognition`] equals
 //!   `oracle.recognize(q).normalized()` on every query (dictionary-family
-//!   backends: core, combo, snapshot, sharded, online session, batch
-//!   front end, boxed trait objects);
+//!   backends: core, combo, snapshot, sharded, online session, `Arc`-held
+//!   publications, boxed trait objects);
 //! * `verdict:` — the scored answer ([`Recognition::best`]) matches on
 //!   cleanly-separable queries (the eval crate's ml-classifier backends,
 //!   whose vote *counts* legitimately differ from dictionary votes).
@@ -23,9 +23,7 @@ use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, EfdDictionary, LabeledObservation, Query, RoundingDepth};
 use efd_eval::engine::MlBackend;
 use efd_ml::taxonomist::TaxonomistConfig;
-use efd_serve::{
-    BatchRecognizer, ComboSnapshot, EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot,
-};
+use efd_serve::{EfdbSnapshot, OnlineSession, ShardedDictionary, Snapshot};
 use efd_telemetry::catalog::small_catalog;
 use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
 
@@ -190,9 +188,10 @@ conformance!(exact: sharded_dictionary_from_parts, |observations: &[LabeledObser
 });
 
 conformance!(exact: combo_snapshot, |observations: &[LabeledObservation]| {
+    // The served combo form: the learned dictionary behind an `Arc`.
     let mut c = ComboDictionary::new(vec![M], depth());
     c.learn_all(observations);
-    ComboSnapshot::freeze(c)
+    Arc::new(c)
 });
 
 conformance!(exact: online_session, |observations: &[LabeledObservation]| {
@@ -209,16 +208,16 @@ conformance!(exact: efdb_snapshot_zero_copy, |observations: &[LabeledObservation
     EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check")
 });
 
+// The batch front end is a publication held in an `Arc`, whose parallel
+// batches come from the blanket `ParallelRecognize`.
 conformance!(exact: efdb_snapshot_behind_batch_front_end, |observations: &[LabeledObservation]| {
     let catalog = small_catalog();
     let bytes = binfmt::write(&oracle(observations).to_parts(), &catalog);
-    BatchRecognizer::new(Arc::new(
-        EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check"),
-    ))
+    Arc::new(EfdbSnapshot::load(bytes, &catalog).expect("canonical bytes always check"))
 });
 
 conformance!(exact: batch_recognizer_front_end, |observations: &[LabeledObservation]| {
-    BatchRecognizer::new(Arc::new(Snapshot::freeze(&oracle(observations), 8)))
+    Arc::new(Snapshot::freeze(&oracle(observations), 8))
 });
 
 conformance!(exact: boxed_dyn_recognize, |observations: &[LabeledObservation]| {

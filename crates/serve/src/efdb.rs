@@ -195,20 +195,6 @@ impl EfdbSnapshot {
     pub fn label_count(&self) -> usize {
         self.labels.len()
     }
-
-    /// Verdict-only fast path (see [`crate::Snapshot::best`]): the
-    /// most-voted application, ties broken lexicographically, `None`
-    /// when nothing matched.
-    pub fn best(&self, query: &Query) -> Option<&str> {
-        let mut scratch = VoteScratch::default();
-        self.best_with(query, &mut scratch)
-    }
-
-    /// [`EfdbSnapshot::best`] with caller-owned scratch — the
-    /// zero-allocation hot path.
-    pub fn best_with<'s>(&'s self, query: &Query, scratch: &mut VoteScratch) -> Option<&'s str> {
-        keystore::best_with(self, query, scratch)
-    }
 }
 
 /// The zero-copy [`KeyStore`]: probes binary-search the raw key records;
@@ -242,18 +228,6 @@ impl KeyStore for EfdbSnapshot {
             } else {
                 scratch.vote_label(label);
             }
-            scratch.vote_app_deduped(self.label_app[id as usize]);
-        });
-        true
-    }
-
-    #[inline]
-    fn vote_apps(&self, fp: &Fingerprint, scratch: &mut VoteScratch) -> bool {
-        let Some(off) = self.find(fp) else {
-            return false;
-        };
-        scratch.begin_point();
-        self.postings().for_each_label(off, |id| {
             scratch.vote_app_deduped(self.label_app[id as usize]);
         });
         true
@@ -312,7 +286,6 @@ mod tests {
             let q = Query::from_node_means(m, W, &means);
             let oracle = dict.recognize(&q).normalized();
             assert_eq!(zero.recognize(&q), oracle);
-            assert_eq!(zero.best(&q), oracle.best());
         }
     }
 
@@ -349,7 +322,6 @@ mod tests {
         assert!(zero.is_empty());
         let q = Query::from_node_means(m, W, &[1.0]);
         assert_eq!(zero.recognize(&q).verdict, efd_core::Verdict::Unknown);
-        assert_eq!(zero.best(&q), None);
     }
 
     #[test]

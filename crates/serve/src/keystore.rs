@@ -5,8 +5,8 @@
 //! raw EFDB key records) answer queries through the same two-phase shape:
 //! probe a fingerprint per query point, then accumulate label and app
 //! votes in a [`VoteScratch`]. [`KeyStore`] is that shape as a trait, and
-//! [`recognize_with`] / [`best_with`] are the *single* vote kernel both
-//! backends run — probe loop, wide/scalar counter selection, and
+//! [`recognize_with`] is the *single* vote kernel both backends run —
+//! probe loop, wide/scalar counter selection, and
 //! [`VoteScratch::finish`] live here once, so a fix or a fast path lands
 //! in every backend at the same time.
 //!
@@ -26,9 +26,9 @@ use efd_telemetry::AppLabel;
 ///
 /// Implementations supply per-key *voting*, not per-key *data access*, so
 /// a zero-copy store can walk its postings in place without materializing
-/// a label list. The shared kernels [`recognize_with`] and [`best_with`]
-/// turn any `KeyStore` into the engine API's recognition semantics; a
-/// backend's `Recognize::recognize_into` is one call into them.
+/// a label list. The shared kernel [`recognize_with`] turns any
+/// `KeyStore` into the engine API's recognition semantics; a backend's
+/// `Recognize::recognize_into` is one call into it.
 pub trait KeyStore {
     /// Rounding depth the stored keys were built with (query means are
     /// rounded to this depth before probing).
@@ -46,11 +46,6 @@ pub trait KeyStore {
     /// [`VoteScratch::vote_label_wide`] when `wide` is set, the scalar
     /// path otherwise. Returns whether the key exists.
     fn vote(&self, fp: &Fingerprint, scratch: &mut VoteScratch, wide: bool) -> bool;
-
-    /// Probe `fp` and vote only its deduplicated apps — the verdict-only
-    /// fast path behind `best`-style calls. Returns whether the key
-    /// exists.
-    fn vote_apps(&self, fp: &Fingerprint, scratch: &mut VoteScratch) -> bool;
 }
 
 /// Whether a query is small enough for the widened counter path: every
@@ -84,24 +79,4 @@ pub fn recognize_with<S: KeyStore + ?Sized>(
         }
     }
     scratch.finish(store.labels(), store.apps(), matched, query.points.len())
-}
-
-/// The shared verdict-only kernel: the most-voted application over any
-/// [`KeyStore`] (ties broken lexicographically), `None` when nothing
-/// matched. Agrees with `recognize_with(store, query, scratch).best()`
-/// by construction; no vote tables, no strings.
-pub fn best_with<'s, S: KeyStore + ?Sized>(
-    store: &'s S,
-    query: &Query,
-    scratch: &mut VoteScratch,
-) -> Option<&'s str> {
-    scratch.ensure(store.labels().len(), store.apps().len());
-    let depth = store.depth();
-    for p in &query.points {
-        let Some(fp) = Fingerprint::from_raw(p.metric, p.node, p.interval, p.mean, depth) else {
-            continue;
-        };
-        store.vote_apps(&fp, scratch);
-    }
-    scratch.finish_best(store.apps())
 }

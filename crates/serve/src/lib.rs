@@ -24,16 +24,11 @@
 //!   dictionary size. [`Snapshot`] and [`EfdbSnapshot`] are two
 //!   implementations of one [`KeyStore`] contract and share one vote
 //!   kernel ([`keystore`]).
-//! * [`BatchRecognizer`] — fans a `&[Query]` out over
-//!   [`efd_util::parallel_map_init`] with per-thread scratch, answering
-//!   batches at full hardware parallelism.
-//! * [`ComboSnapshot`] — the served form of
-//!   [`efd_core::multi::ComboDictionary`]: conjunctive multi-metric voting
-//!   against an immutable snapshot.
-//! * [`OnlineSession`] — the served form of
-//!   [`efd_core::online::OnlineRecognizer`]: a `'static` streaming session
-//!   holding an `Arc<Snapshot>`, so live jobs keep recognizing while the
-//!   dictionary behind them is re-published.
+//! * [`OnlineSession`] — the streaming session: feed live samples, get
+//!   a verdict the moment the fingerprint window closes. It holds its
+//!   engine behind an `Arc` (a [`Snapshot`], an [`efd_core::EfdDictionary`]
+//!   or any other backend), so sessions are `'static` and keep
+//!   recognizing while the dictionary behind them is re-published.
 //! * [`DurableDictionary`] — a [`ShardedDictionary`] whose learns are
 //!   written ahead to an [`efd_core::wal`] directory: crash the process,
 //!   reopen, and serve exactly the durably-acknowledged state.
@@ -59,7 +54,10 @@
 //! `R: Recognize + Sync` and pick the backend at runtime. The trait's
 //! core method `recognize_into` *is* this crate's zero-allocation scratch
 //! path — [`VoteScratch`] lives in `efd_core::engine`, so core and serve
-//! share one scratch contract. This crate re-exports the traits
+//! share one scratch contract. Batches fan out over worker threads
+//! through the blanket [`ParallelRecognize::recognize_batch_parallel`],
+//! and the conjunctive [`efd_core::multi::ComboDictionary`] is served as
+//! it is, behind an `Arc`. This crate re-exports the traits
 //! ([`Learn`], [`Recognize`], [`ParallelRecognize`], [`VoteScratch`]) for
 //! convenience.
 //!
@@ -76,8 +74,8 @@
 //! ## Typical lifecycle
 //!
 //! ```text
-//! EfdDictionary --to_parts()--> DictionaryParts --freeze--> Snapshot --Arc--> BatchRecognizer
-//!        ^                                                     |
+//! EfdDictionary --to_parts()--> DictionaryParts --freeze--> Snapshot --Arc--> recognize_batch_parallel,
+//!        ^                                                     |              OnlineSession
 //!        |                     ShardedDictionary --snapshot()--+
 //!        |                        ^  (concurrent learn)
 //!        +---- to_dictionary() ---+
@@ -86,8 +84,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
-pub mod combo;
 pub mod durable;
 pub mod efdb;
 pub mod keystore;
@@ -98,8 +94,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod stacked;
 
-pub use batch::BatchRecognizer;
-pub use combo::ComboSnapshot;
 pub use durable::DurableDictionary;
 pub use efdb::EfdbSnapshot;
 pub use keystore::KeyStore;

@@ -14,6 +14,10 @@ use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use efd_core::{EfdDictionary, RoundingDepth};
+use efd_telemetry::{AppLabel, Interval, MetricId, NodeId};
+use efd_util::SplitMix64;
+
 use super::protocol::{write_frame, FrameError, FrameReader};
 
 /// What to drive at the daemon.
@@ -260,6 +264,51 @@ fn record(st: &mut ConnStats, inflight: &mut VecDeque<Instant>, payload: &[u8]) 
     }
 }
 
+/// Keys per node block of the synthetic keyspace: key `i` sits on node
+/// `i % SYNTH_BLOCK`, and one block holds one application.
+const SYNTH_BLOCK: usize = 64;
+
+/// The synthetic serving keyspace: key `i` is `(metric, node i % 64,
+/// [60:120], mean 100_000 + i)` labeled `app{(i / 64) % 50}/X` at rounding
+/// depth 6 (sequential means stay distinct). Every key of one 64-key
+/// block carries the same label, so a query probing one block votes for
+/// one application. `efd dump --synth-keys`, `efd loadgen --keyspace` and
+/// the `perf_net` bench all derive from this one shape, so load against a
+/// `--synth-keys` EFDB hits real keys by construction.
+pub fn synth_keyspace_dict(keys: usize, metric: MetricId) -> EfdDictionary {
+    let mut dict = EfdDictionary::new(RoundingDepth::new(6));
+    for i in 0..keys {
+        dict.insert_raw(
+            metric,
+            NodeId((i % SYNTH_BLOCK) as u16),
+            Interval::PAPER_DEFAULT,
+            100_000.0 + i as f64,
+            &AppLabel::new(format!("app{:03}", (i / SYNTH_BLOCK) % 50), "X"),
+        );
+    }
+    dict
+}
+
+/// `count` seeded `RECOGNIZE` request lines over [`synth_keyspace_dict`]:
+/// 8-node queries aligned to one 64-key block (so every point lands on
+/// its node's key and the block's app is recognized), with ~9% of blocks
+/// drawn past the keyspace end as misses.
+pub fn synth_keyspace_payloads(metric_name: &str, keys: usize, count: usize) -> Vec<String> {
+    let blocks = (keys / SYNTH_BLOCK).max(1);
+    let mut rng = SplitMix64::new(0x10AD);
+    (0..count.max(1))
+        .map(|_| {
+            let r = (rng.next_u64() as usize) % (blocks + blocks / 10 + 1);
+            let i0 = r * SYNTH_BLOCK;
+            let mut s = format!("RECOGNIZE {metric_name} 60 120");
+            for j in 0..8 {
+                s.push_str(&format!(" {}", 100_000.0 + (i0 + j) as f64));
+            }
+            s
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,5 +333,31 @@ mod tests {
         // Unmatched response counts as an error, not a panic.
         record(&mut st, &mut inflight, b"PONG");
         assert_eq!(st.errors, 2);
+    }
+
+    #[test]
+    fn synth_keyspace_mix_recognizes_its_blocks() {
+        use super::super::protocol::Request;
+        use efd_core::{Query, Verdict};
+
+        let keys = 6400;
+        let dict = synth_keyspace_dict(keys, MetricId(0));
+        assert_eq!(dict.len(), keys);
+        let (mut recognized, mut ambiguous, mut unknown) = (0, 0, 0);
+        for line in synth_keyspace_payloads("m", keys, 500) {
+            let Ok(Request::Recognize { start, end, means, .. }) = Request::parse(&line) else {
+                panic!("not a RECOGNIZE line: {line}");
+            };
+            let q = Query::from_node_means(MetricId(0), Interval::new(start, end), &means);
+            match dict.recognize(&q).verdict {
+                Verdict::Recognized(_) => recognized += 1,
+                Verdict::Ambiguous(_) => ambiguous += 1,
+                _ => unknown += 1,
+            }
+        }
+        // In-range blocks are one app each; past-the-end blocks miss.
+        assert_eq!(ambiguous, 0);
+        assert!(recognized > 400, "{recognized} recognized");
+        assert!(unknown > 0, "no misses in the mix");
     }
 }

@@ -1,23 +1,22 @@
-//! Served streaming recognition.
+//! Streaming recognition during execution.
 //!
-//! [`efd_core::online::OnlineRecognizer`] borrows its dictionary
-//! (`&'d EfdDictionary`), which pins a streaming session to one thread
-//! and one dictionary for its whole life — fine in a lab harness,
-//! unusable in a service where thousands of live jobs stream samples
-//! while the dictionary keeps learning. [`OnlineSession`] is the served
-//! variant: it holds an `Arc<`[`Snapshot`]`>`, so sessions are `'static`
-//! and `Send` (they can live in a session table, migrate across worker
-//! threads) and can [`OnlineSession::swap`] to a newer publication
-//! mid-stream — the verdict then reflects the latest learned state.
+//! The paper's pitch is low latency: a verdict within the first two
+//! minutes, *while the job is still running*. [`OnlineSession`] wires the
+//! telemetry stream into a recognition engine: samples are fed as they
+//! arrive (per node, per metric, per second); window aggregators emit
+//! means the moment each fingerprint window closes; when every stream's
+//! windows have closed, the session emits its verdict. No raw series are
+//! buffered — memory is O(nodes × metrics).
 //!
-//! The session is generic over its engine: the default `Arc<Snapshot>`
-//! form is unchanged, but any [`Recognize`] backend works — including
+//! The session holds its engine as an `Arc<R>`, so sessions are
+//! `'static` and `Send` (they can live in a session table and migrate
+//! across threads) and can [`OnlineSession::swap`] to a newer
+//! publication mid-stream — the verdict then reflects the latest learned
+//! state. `R` is any [`Recognize`] backend: the default `Arc<`[`Snapshot`]`>`,
+//! an `Arc<EfdDictionary>` in a lab harness, or
 //! `Arc<dyn Recognize + Send + Sync>`, which is how the network daemon
 //! keeps one per-connection session per streaming client regardless of
 //! which backend `--backend` selected.
-//!
-//! Same memory contract as the core recognizer: no raw series are
-//! buffered, memory is O(nodes × metrics).
 
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ use efd_core::{ObsPoint, Query, Recognition};
 
 use crate::snapshot::Snapshot;
 
-/// A `'static`, snapshot-backed streaming recognition session.
+/// A `'static` streaming recognition session over an `Arc`-held engine.
 ///
 /// Feed samples as they arrive; the session emits its verdict exactly
 /// once, the moment the last fingerprint window closes (the paper's
@@ -214,6 +213,77 @@ mod tests {
         let (t, r) = verdict.expect("no verdict by horizon");
         assert_eq!(t, 120);
         assert_eq!(r.verdict, Verdict::Recognized("ft".into()));
+    }
+
+    /// The lab-harness form: a session over the oracle dictionary itself.
+    fn oracle_with(apps: &[(&str, f64)]) -> Arc<EfdDictionary> {
+        let mut d = EfdDictionary::new(RoundingDepth::new(2));
+        for &(app, mean) in apps {
+            d.learn(&LabeledObservation {
+                label: AppLabel::new(app, "X"),
+                query: Query::from_node_means(M, W, &[mean, mean]),
+            });
+        }
+        Arc::new(d)
+    }
+
+    #[test]
+    fn emits_when_window_closes() {
+        let dict = oracle_with(&[("ft", 6000.0)]);
+        let mut s = OnlineSession::new(dict, &[M], &[NodeId(0), NodeId(1)], vec![W]);
+        assert_eq!(s.horizon_s(), 120);
+        let mut verdict = None;
+        for t in 0..=120u32 {
+            for n in [NodeId(0), NodeId(1)] {
+                // Wild values before 60 s (init phase) — must not matter.
+                let v = if t < 60 { 50_000.0 } else { 6010.0 };
+                if let Some(r) = s.push(n, M, t, v) {
+                    assert!(verdict.is_none(), "double emit");
+                    verdict = Some((t, r));
+                }
+            }
+        }
+        let (t, r) = verdict.expect("no verdict by horizon");
+        assert_eq!(t, 120, "verdict should land exactly at window close");
+        assert_eq!(r.verdict, Verdict::Recognized("ft".into()));
+    }
+
+    #[test]
+    fn current_is_unknown_before_any_window_closes() {
+        let dict = oracle_with(&[("ft", 6000.0)]);
+        let mut s = OnlineSession::new(dict, &[M], &[NodeId(0)], vec![W]);
+        for t in 0..100u32 {
+            s.push(NodeId(0), M, t, 6000.0);
+        }
+        assert_eq!(s.collected(), 0);
+        assert_eq!(s.current().verdict, Verdict::Unknown);
+    }
+
+    #[test]
+    fn finish_flushes_partial_windows() {
+        let dict = oracle_with(&[("ft", 6000.0)]);
+        let mut s = OnlineSession::new(dict, &[M], &[NodeId(0), NodeId(1)], vec![W]);
+        for t in 0..90u32 {
+            s.push(NodeId(0), M, t, 6005.0);
+            s.push(NodeId(1), M, t, 5995.0);
+        }
+        let r = s.finish();
+        // 30 in-window samples per node: enough for a mean → recognized.
+        assert_eq!(r.verdict, Verdict::Recognized("ft".into()));
+        assert_eq!(r.matched_points, 2);
+    }
+
+    #[test]
+    fn no_second_emission() {
+        let dict = oracle_with(&[("ft", 6000.0)]);
+        let mut s = OnlineSession::new(dict, &[M], &[NodeId(0)], vec![W]);
+        let mut emitted = 0;
+        for t in 0..300u32 {
+            if s.push(NodeId(0), M, t, 6000.0).is_some() {
+                emitted += 1;
+            }
+        }
+        assert_eq!(emitted, 1);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! EFDB or a JSON dump, told apart by [`binfmt::MAGIC`] — or a dictionary
 //! already in memory, and only what the chosen backend needs is decoded:
 //!
-//! | backend    | from EFDB bytes                   | from a JSON dump or a dictionary |
-//! |------------|-----------------------------------|----------------------------------|
-//! | `snapshot` | [`Snapshot::from_efdb`]           | [`Snapshot::freeze`]             |
-//! | `sharded`  | decode, then as a dictionary      | [`ShardedDictionary::from_parts`] |
-//! | `combo`    | decode, then as a dictionary      | [`ComboSnapshot::freeze`]        |
-//! | `efdb`     | bytes moved into [`EfdbSnapshot::load`] | re-encoded to canonical EFDB |
+//! | backend    | from EFDB bytes                         | from a JSON dump or a dictionary        |
+//! |------------|-----------------------------------------|-----------------------------------------|
+//! | `snapshot` | [`Snapshot::from_efdb`]                 | [`Snapshot::freeze`]                    |
+//! | `sharded`  | decode, then as a dictionary            | [`ShardedDictionary::from_parts`]       |
+//! | `combo`    | decode, then as a dictionary            | [`ComboDictionary::from_single_metric`] |
+//! | `efdb`     | bytes moved into [`EfdbSnapshot::load`] | re-encoded to canonical EFDB            |
 //!
 //! Every engine answers like the [`EfdDictionary`] oracle up to
 //! [`efd_core::Recognition::normalized`] ordering.
@@ -25,7 +25,7 @@ use efd_core::multi::ComboDictionary;
 use efd_core::{binfmt, serialize, EfdDictionary};
 use efd_telemetry::MetricCatalog;
 
-use crate::{ComboSnapshot, EfdbSnapshot, ShardedDictionary, Snapshot};
+use crate::{EfdbSnapshot, ShardedDictionary, Snapshot};
 
 /// A dictionary-family serving backend, selected by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,7 +34,7 @@ pub enum Backend {
     Snapshot,
     /// Live [`ShardedDictionary`] behind per-shard `RwLock`s.
     Sharded,
-    /// Conjunctive [`ComboSnapshot`]; needs a single-metric dictionary.
+    /// Conjunctive [`ComboDictionary`]; needs a single-metric dictionary.
     Combo,
     /// Zero-copy [`EfdbSnapshot`] straight over EFDB bytes.
     Efdb,
@@ -129,7 +129,7 @@ impl Backend {
                 let combo = ComboDictionary::from_single_metric(dict)
                     .ok_or("the combo backend needs a non-empty single-metric dictionary")?;
                 let keys = combo.len();
-                (Arc::new(ComboSnapshot::freeze(combo)), keys)
+                (Arc::new(combo), keys)
             }
             Backend::Efdb => {
                 let bytes = binfmt::write_dictionary(dict, catalog);

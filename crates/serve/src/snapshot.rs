@@ -251,25 +251,6 @@ impl Snapshot {
     pub fn label_count(&self) -> usize {
         self.labels.len()
     }
-
-    /// Fast-path recognition that skips building the full [`Recognition`]:
-    /// returns only what the paper's evaluation scores
-    /// ([`Recognition::best`]) — the recognized application, the
-    /// lexicographically smallest tied application, or `None` for unknown.
-    ///
-    /// Agrees with `recognize(query).best()` by construction.
-    pub fn best(&self, query: &Query) -> Option<&str> {
-        let mut scratch = VoteScratch::default();
-        self.best_with(query, &mut scratch)
-    }
-
-    /// [`Snapshot::best`] with caller-owned scratch: the zero-allocation
-    /// serving hot path. No vote tables, no strings — dense app counters
-    /// and a final scan. This is what
-    /// [`crate::BatchRecognizer::best_batch`] runs per worker thread.
-    pub fn best_with<'s>(&'s self, query: &Query, scratch: &mut VoteScratch) -> Option<&'s str> {
-        keystore::best_with(self, query, scratch)
-    }
 }
 
 /// The owned [`KeyStore`]: fingerprints resolve through the shard maps,
@@ -302,17 +283,6 @@ impl KeyStore for Snapshot {
                 scratch.vote_label(id);
             }
         }
-        for &app in entry.apps.iter() {
-            scratch.vote_app(app);
-        }
-        true
-    }
-
-    #[inline]
-    fn vote_apps(&self, fp: &Fingerprint, scratch: &mut VoteScratch) -> bool {
-        let Some(entry) = self.shards[shard_of(fp, self.shard_bits)].get(fp) else {
-            return false;
-        };
         for &app in entry.apps.iter() {
             scratch.vote_app(app);
         }
@@ -374,7 +344,6 @@ mod tests {
                 let served = snap.recognize(&q);
                 let oracle = dict.recognize(&q).normalized();
                 assert_eq!(served, oracle, "shards={shards}");
-                assert_eq!(snap.best(&q), oracle.best(), "shards={shards}");
             }
         }
     }
@@ -441,7 +410,6 @@ mod tests {
                     via_freeze.recognize(&q),
                     "shards={shards}"
                 );
-                assert_eq!(via_efdb.best(&q), via_freeze.best(&q));
             }
         }
     }
@@ -464,6 +432,5 @@ mod tests {
         assert!(snap.is_empty());
         let r = snap.recognize(&Query::from_node_means(M, W, &[1.0]));
         assert_eq!(r.verdict, efd_core::Verdict::Unknown);
-        assert_eq!(snap.best(&Query::from_node_means(M, W, &[1.0])), None);
     }
 }

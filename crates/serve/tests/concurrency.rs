@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use efd_core::{EfdDictionary, LabeledObservation, Query, Recognition, RoundingDepth};
-use efd_serve::{BatchRecognizer, Recognize, ShardedDictionary, Snapshot};
+use efd_serve::{ParallelRecognize, Recognize, ShardedDictionary, Snapshot};
 use efd_telemetry::{AppLabel, Interval, MetricId};
 use efd_util::SplitMix64;
 
@@ -150,14 +150,8 @@ fn snapshot_batch_matches_oracle_at_every_shard_count() {
     for shards in [1usize, 2, 8, 32] {
         let snap = Arc::new(Snapshot::freeze(&oracle, shards));
         assert_eq!(snap.len(), oracle.len(), "shards={shards}");
-        let server = BatchRecognizer::new(Arc::clone(&snap));
-        let answers = server.recognize_batch(&probe_queries);
+        let answers = snap.recognize_batch_parallel(&probe_queries);
         assert_eq!(answers, expected, "shards={shards}");
-        // The verdict-only fast path agrees with the full path.
-        let bests = server.best_batch(&probe_queries);
-        for (b, e) in bests.iter().zip(&expected) {
-            assert_eq!(b.as_deref(), e.best(), "shards={shards}");
-        }
     }
 }
 

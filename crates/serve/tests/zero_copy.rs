@@ -88,11 +88,6 @@ fn owned_and_zero_copy_agree_with_the_oracle_on_random_queries() {
             let via_bytes = zero_copy.recognize_into(q, &mut scratch);
             assert_eq!(via_owned, expected, "seed {seed:#x}, query #{i}: owned");
             assert_eq!(via_bytes, expected, "seed {seed:#x}, query #{i}: zero-copy");
-            assert_eq!(
-                zero_copy.best_with(q, &mut scratch),
-                expected.best(),
-                "seed {seed:#x}, query #{i}: zero-copy verdict fast path"
-            );
             matched += usize::from(expected.matched_points > 0);
         }
         assert!(matched > 100, "seed {seed:#x}: degenerate query mix ({matched} hits)");

@@ -9,11 +9,12 @@
 //! the synthetic dataset, publish it as a runtime-selected
 //! `Arc<dyn Recognize + Send + Sync>` built by the serve registry (an
 //! immutable [`Snapshot`], a live [`ShardedDictionary`], a conjunctive
-//! `ComboSnapshot` or a zero-copy `EfdbSnapshot` — the same loop serves
-//! all four), fan a 10 000-query stream over worker threads
-//! with the generic [`BatchRecognizer`], then learn a *new* application
-//! concurrently and re-publish — the paper's "learning new applications
-//! is as simple as adding new keys", done live.
+//! `ComboDictionary` or a zero-copy `EfdbSnapshot` — the same loop serves
+//! all four), fan a 10 000-query stream over worker threads with
+//! [`ParallelRecognize::recognize_batch_parallel`], then learn a *new*
+//! application concurrently and re-publish by replacing the `Arc` — the
+//! paper's "learning new applications is as simple as adding new keys",
+//! done live.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,11 +71,10 @@ fn main() {
         })
         .collect();
 
-    // The batch front end is generic over `R: Recognize + Sync`; here R is
-    // the trait object itself.
-    let server = BatchRecognizer::new(Arc::clone(&backend));
+    // Every `Recognize + Sync` backend, the trait object included, fans
+    // batches out over worker threads through the engine API.
     let t = Instant::now();
-    let answers = server.recognize_batch(&stream);
+    let answers = backend.recognize_batch_parallel(&stream);
     let dt = t.elapsed();
     let recognized = answers.iter().filter(|r| r.best().is_some()).count();
     println!(
@@ -95,7 +95,7 @@ fn main() {
     }
 
     // Live learning: thaw into a sharded dictionary, learn a brand-new
-    // app from two threads, re-publish, swap it into the server.
+    // app from two threads, re-publish by replacing the served `Arc`.
     let sharded = ShardedDictionary::from_parts(dict.to_parts(), 8);
     let novel = Query::from_node_means(metric, Interval::PAPER_DEFAULT, &[123_456.0; 4]);
     std::thread::scope(|s| {
@@ -110,9 +110,8 @@ fn main() {
             });
         }
     });
-    let mut server = server;
-    server.swap(Arc::new(sharded.snapshot()) as _);
-    let verdict = server.recognize_batch(std::slice::from_ref(&novel));
+    let backend: Arc<dyn Recognize + Send + Sync> = Arc::new(sharded.snapshot());
+    let verdict = backend.recognize_batch_parallel(std::slice::from_ref(&novel));
     assert_eq!(verdict[0].best(), Some("newapp"));
     println!(
         "re-published: verdict for the live-learned app = {:?}",

@@ -6,9 +6,9 @@
 //!
 //! The paper's pitch is low latency: related work waits for the whole
 //! execution, the EFD answers two minutes in. This example streams a
-//! job's telemetry sample by sample into a served [`OnlineSession`]
-//! (the `'static`, snapshot-backed streaming form) and prints the moment
-//! the verdict drops. Because the session also implements the engine
+//! job's telemetry sample by sample into an [`OnlineSession`] (the
+//! streaming session, here over a published snapshot) and prints the
+//! moment the verdict drops. Because the session also implements the engine
 //! API's [`Recognize`] trait, the same object answers ad-hoc queries
 //! against its current publication — a session table doubles as a fleet
 //! of ordinary backends.

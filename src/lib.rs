@@ -12,7 +12,7 @@
 //!   fingerprints, learning/recognition, depth selection, persistence
 //!   (JSON dumps and the EFDB binary format, spec in `docs/FORMAT.md`),
 //!   plus the paper's future-work extensions (combinatorial fingerprints,
-//!   temporal alignment, reverse lookup, streaming recognition) — and the
+//!   temporal alignment, reverse lookup) — and the
 //!   **engine API** (`efd_core::engine`): object-safe
 //!   [`Learn`](prelude::Learn)/[`Recognize`](prelude::Recognize) traits
 //!   unifying every backend, re-exported through the [`prelude`].
@@ -25,8 +25,8 @@
 //! * [`eval`] (`efd-eval`) — the paper's five experiments, Table 3
 //!   screening, and paper-vs-measured reporting.
 //! * [`serve`] (`efd-serve`) — the concurrent serving layer: sharded
-//!   dictionaries, immutable published snapshots, parallel batch and
-//!   streaming recognition.
+//!   dictionaries, immutable published snapshots and the streaming
+//!   session (`OnlineSession`).
 //! * [`catalog`] (`efd-catalog`) — versioned dictionary artifacts: the
 //!   named catalog store with its signed index, and `recognizer.v1`
 //!   manifests stacking backends with explicit precedence.
@@ -53,10 +53,9 @@ pub mod prelude {
     pub use efd_core::engine::{Learn, ParallelRecognize, Recognize, VoteScratch};
     pub use efd_core::fingerprint::Fingerprint;
     pub use efd_core::observation::{LabeledObservation, ObsPoint, Query};
-    pub use efd_core::online::OnlineRecognizer;
     pub use efd_core::rounding::{round_to_depth, RoundingDepth};
     pub use efd_core::training::{DepthPolicy, Efd, EfdConfig};
-    pub use efd_serve::{BatchRecognizer, OnlineSession, ShardedDictionary, Snapshot};
+    pub use efd_serve::{OnlineSession, ShardedDictionary, Snapshot};
     pub use efd_telemetry::trace::{ExecutionTrace, MetricSelection, NodeTrace};
     pub use efd_telemetry::{AppLabel, Interval, MetricCatalog, MetricId, NodeId, TimeSeries};
     pub use efd_workload::{AppId, Dataset, DatasetSpec, InputSize, SubsetKind};

@@ -57,8 +57,8 @@ fn online_verdict_matches_offline() {
     let offline = efd.recognize_trace(&job);
 
     let nodes: Vec<NodeId> = job.nodes.iter().map(|n| n.node).collect();
-    let mut rec = efd_core::online::OnlineRecognizer::new(
-        efd.dictionary(),
+    let mut rec = OnlineSession::new(
+        std::sync::Arc::new(efd.dictionary().clone()),
         &[metric],
         &nodes,
         vec![Interval::PAPER_DEFAULT],
